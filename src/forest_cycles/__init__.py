@@ -14,7 +14,7 @@ from .cycle_algebra import (Coordinate, CycleTerm, Monomial, OutOfClassError,
 from .forest_algebra import (ForestTerm, Leaf, Node, RDecoTree,
                              canonical_edge_order, contract, d, grade,
                              is_generic, is_generic_tree, star, tree_sum)
-from .forest_cycling import phi, phi_tree, verify_chain_map
+from .forest_cycling import phi, phi_tree
 from .formal import FormalSum
 from .hybrid import (D, delta, is_negligible, load_fixture, topological_part,
                      verify_bounding)
@@ -24,7 +24,7 @@ from .numerics import (NumericContext, check_diffLi, eval_topological_cycle,
 from .symbols import (DecoSymbol, Sym, UNIT, constant, deco, parameter,
                       standard_decorations, topological)
 from .tau import (TauSpec, check_decomposable, check_internal_cancellation,
-                  tau, tau_trees)
+                  standard_spec, tau, tau_trees)
 
 __version__ = "0.1.0"
 

@@ -3,79 +3,61 @@
 Subcommands: tau (emit a tree sum), phi (emit its cycle image or the
 image of a tree file), verify (run a named verification suite), eval
 (numeric series / integral / comparison).  Exit codes: 0 pass, 1
-verification failure, 2 usage or unsupported-class errors.  The
-environment variable FOREST_CYCLES_LOG sets the logging level.
+verification failure, 2 usage or unsupported-class errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import random
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
+from . import checks
 from . import forest_algebra as fa
 from . import forest_cycling as fc
 from . import hybrid as hy
 from . import numerics as nm
 from . import serialize as sz
-from .cycle_algebra import OutOfClassError, boundary, is_admissible
-from .symbols import UNIT, deco
-from .tau import TauSpec, check_decomposable, check_internal_cancellation, tau, tau_trees
+from .cycle_algebra import OutOfClassError
+from .symbols import deco
+from .tau import TauSpec, standard_spec, tau, tau_trees
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    m: int = 3
-    decorations: tuple = ()
-    fmt: str = "text"
-    tol: float = 1e-6
-    seed: int = 0
-    count: int = 200
-    fixture: Optional[str] = None
-    xs: tuple = ()
-    tree_file: Optional[str] = None
-    suite: Optional[str] = None
-    mode: Optional[str] = None
-    order: int = 32
+def _spec(ns) -> TauSpec:
+    if ns.decos:
+        return TauSpec(tuple(deco(s.strip()) for s in ns.decos.split(",") if s.strip()))
+    return standard_spec(ns.m)
 
 
-def _spec(cfg: RunConfig) -> TauSpec:
-    if cfg.decorations:
-        names = cfg.decorations
-    else:
-        names = tuple(f"x{i}" for i in range(1, cfg.m + 1))
-    return TauSpec(tuple(deco(n) for n in names))
+def _floats(text: str) -> list:
+    return [float(s) for s in text.split(",")] if text else []
 
 
-def cmd_tau(cfg: RunConfig) -> int:
-    S = tau(_spec(cfg))
-    if cfg.fmt == "json":
+def cmd_tau(ns) -> int:
+    spec = _spec(ns)
+    S = tau(spec)
+    if ns.fmt == "json":
         print(json.dumps(sz.forest_sum_to_json(S), indent=2))
-    elif cfg.fmt == "latex":
+    elif ns.fmt == "latex":
         print(sz.forest_sum_to_latex(S))
     else:
-        print(f"tau over {cfg.m} decorations: {len(S)} trees")
+        print(f"tau over {spec.m} decorations: {len(S)} trees")
         for F, c in sorted(S, key=lambda fc_: repr(fc_[0])):
             print(f"  {c} * {sz.forest_term_to_latex(F)}")
     return 0
 
 
-def cmd_phi(cfg: RunConfig) -> int:
-    if cfg.tree_file:
-        with open(cfg.tree_file) as fh:
+def cmd_phi(ns) -> int:
+    if ns.tree_file:
+        with open(ns.tree_file) as fh:
             T = sz.tree_from_json(json.load(fh))
         S = fc.phi(fa.tree_sum(T))
     else:
-        S = fc.phi(tau(_spec(cfg)))
-    if cfg.fmt == "json":
+        S = fc.phi(tau(_spec(ns)))
+    if ns.fmt == "json":
         print(json.dumps(sz.cycle_sum_to_json(S), indent=2))
-    elif cfg.fmt == "latex":
+    elif ns.fmt == "latex":
         print(sz.cycle_sum_to_latex(S))
     else:
         for t, c in sorted(S, key=lambda tc: str(tc[0])):
@@ -86,155 +68,73 @@ def cmd_phi(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _random_tree(rng: random.Random, max_edges: int, pool) -> fa.RDecoTree:
-    def build(budget):
-        # budget = edges available below the current edge
-        if budget <= 1 or rng.random() < 0.35:
-            return fa.Leaf(deco(rng.choice(pool)))
-        arity = 2 if budget < 3 or rng.random() < 0.7 else 3
-        shares = [1] * arity
-        left = budget - arity
-        for _ in range(left):
-            shares[rng.randrange(arity)] += 1
-        return fa.Node(tuple(build(s) for s in shares))
-
-    root = UNIT if rng.random() < 0.5 else deco(rng.choice(pool))
-    return fa.RDecoTree(root, build(rng.randint(1, max_edges) - 1))
+def _report(line: str, res: checks.CheckResult, note: str = "") -> bool:
+    print(f"{line}: {'pass' if res.passed else 'FAIL'}{note}")
+    if not res.passed:
+        print(f"  {res.witness}")
+    return res.passed
 
 
-def random_forest(rng: random.Random, max_edges: int = 8) -> fa.ForestTerm:
-    pool = [f"x{i}" for i in range(1, 10)]
-    k = rng.choice([1, 1, 2, 3])
-    trees = []
-    left = max_edges
-    for i in range(k):
-        cap = left - (k - 1 - i)
-        if cap < 1:
-            break
-        T = _random_tree(rng, max(1, min(cap, 4)), pool)
-        trees.append(T)
-        left -= fa.edge_count(T)
-    return fa.ForestTerm(tuple(trees))
+def _specs(ns) -> list:
+    return [standard_spec(m) for m in range(2, ns.m + 1)]
 
 
-def _suite_d2(cfg: RunConfig) -> bool:
-    rng = random.Random(cfg.seed)
+def _suite_d2(ns) -> bool:
+    rng = random.Random(ns.seed)
+    res = checks.d_squared([checks.random_forest(rng) for _ in range(ns.count)])
+    return _report(f"d^2 = 0 on {ns.count} random forests", res)
+
+
+def _suite_leibniz(ns) -> bool:
+    rng = random.Random(ns.seed)
+    pairs = [(checks.random_forest(rng, 5), checks.random_forest(rng, 5))
+             for _ in range(max(1, ns.count // 2))]
+    return _report(f"graded Leibniz on {len(pairs)} random pairs",
+                   checks.star_leibniz(pairs))
+
+
+def _suite_del2(ns) -> bool:
+    res = checks.boundary_squared(fc.phi(fa.tree_sum(T))
+                                  for spec in _specs(ns) for T in tau_trees(spec))
+    return _report(f"boundary^2 = 0 on tree images up to m = {ns.m}", res)
+
+
+def _suite_chain_map(ns) -> bool:
+    res = checks.chain_map(T for spec in _specs(ns) for T in tau_trees(spec))
+    return _report(f"chain map on all tree-sum trees up to m = {ns.m}", res)
+
+
+def _suite_cancellation(ns) -> bool:
+    return _report(f"internal cancellation and two-tree splitting up to m = {ns.m}",
+                   checks.tau_cancellation(_specs(ns)))
+
+
+def _suite_admissibility(ns) -> bool:
+    res = checks.admissibility(t for spec in _specs(ns) for t, _ in fc.phi(tau(spec)))
+    return _report(f"admissibility of tree images up to m = {ns.m}", res)
+
+
+def _suite_bounding(ns) -> bool:
     ok = True
-    for _ in range(cfg.count):
-        S = fa.forest_sum([(random_forest(rng), 1)])
-        if not fa.d(fa.d(S)).is_zero():
-            ok = False
-    print(f"d^2 = 0 on {cfg.count} random forests: {'pass' if ok else 'FAIL'}")
-    return ok
-
-
-def _suite_leibniz(cfg: RunConfig) -> bool:
-    rng = random.Random(cfg.seed)
-    ok = True
-    pairs = max(1, cfg.count // 2)
-    for _ in range(pairs):
-        A = fa.forest_sum([(random_forest(rng, 5), 1)])
-        B = fa.forest_sum([(random_forest(rng, 5), 1)])
-        if A.is_zero() or B.is_zero():
-            continue
-        eA = fa.grade(A.terms()[0])[0]
-        lhs = fa.d(fa.star(A, B))
-        rhs = fa.star(fa.d(A), B) + fa.star(A, fa.d(B)).scale((-1) ** eA)
-        if lhs != rhs:
-            ok = False
-    print(f"graded Leibniz on {pairs} random pairs: {'pass' if ok else 'FAIL'}")
-    return ok
-
-
-def _suite_del2(cfg: RunConfig) -> bool:
-    ok = True
-    for m in range(2, cfg.m + 1):
-        spec = TauSpec(tuple(deco(f"x{i}") for i in range(1, m + 1)))
-        for T in tau_trees(spec):
-            Z = fc.phi(fa.tree_sum(T))
-            if not boundary(boundary(Z)).is_zero():
-                ok = False
-    print(f"boundary^2 = 0 on tree images up to m = {cfg.m}: {'pass' if ok else 'FAIL'}")
-    return ok
-
-
-def _suite_chain_map(cfg: RunConfig) -> bool:
-    ok = True
-    log = logging.getLogger("forest_cycles.forest_cycling")
-    old = log.level
-    log.setLevel(logging.ERROR)  # differential images repeat decorations by design
-    try:
-        for m in range(2, cfg.m + 1):
-            spec = TauSpec(tuple(deco(f"x{i}") for i in range(1, m + 1)))
-            for T in tau_trees(spec):
-                if not fc.verify_chain_map(T).passed:
-                    ok = False
-    finally:
-        log.setLevel(old)
-    print(f"chain map on all tree-sum trees up to m = {cfg.m}: {'pass' if ok else 'FAIL'}")
-    return ok
-
-
-def _suite_cancellation(cfg: RunConfig) -> bool:
-    ok = True
-    for m in range(2, cfg.m + 1):
-        spec = TauSpec(tuple(deco(f"x{i}") for i in range(1, m + 1)))
-        rep = check_internal_cancellation(spec)
-        if not rep.passed:
-            ok = False
-        dec = check_decomposable(spec)
-        if m >= 3 and not dec.all_two_trees:
-            ok = False
-    print(f"internal cancellation and two-tree splitting up to m = {cfg.m}: "
-          f"{'pass' if ok else 'FAIL'}")
-    return ok
-
-
-def _suite_admissibility(cfg: RunConfig) -> bool:
-    ok = True
-    for m in range(2, cfg.m + 1):
-        spec = TauSpec(tuple(deco(f"x{i}") for i in range(1, m + 1)))
-        Z = fc.phi(tau(spec))
-        for t, _ in Z:
-            if not is_admissible(t).admissible:
-                ok = False
-    print(f"admissibility of tree images up to m = {cfg.m}: {'pass' if ok else 'FAIL'}")
-    return ok
-
-
-def _suite_bounding(cfg: RunConfig) -> bool:
-    ok = True
-    names = [cfg.fixture] if cfg.fixture else ["double_log", "triple_log"]
-    for name in names:
+    for name in [ns.fixture] if ns.fixture else ["double_log", "triple_log"]:
         chain, target, _meta = hy.load_fixture(name)
-        rep = hy.verify_bounding(chain, target)
-        print(f"fixture {name}: {'pass' if rep.passed else 'FAIL'} "
-              f"({len(rep.residual)} negligible residual terms)")
-        if not rep.passed:
-            for t, c in rep.offending:
-                print(f"  offending: {c} * {t}")
-            ok = False
+        res = checks.bounding([(name, chain, target)])
+        ok = _report(f"fixture {name}", res,
+                     f" ({res.cases} negligible residual terms)") and ok
     return ok
 
 
-def _suite_numeric(cfg: RunConfig) -> bool:
-    ctx = nm.NumericContext(quadrature_order=cfg.order, tolerance=min(cfg.tol, 1e-8))
+def _suite_numeric(ns) -> bool:
+    ctx = nm.NumericContext(quadrature_order=ns.order, tolerance=min(ns.tol, 1e-8))
     ok = True
-    if cfg.xs:
-        xs = list(cfg.xs)
-        value = nm.simplex_integral(xs, ctx)
-        series = nm.multiple_log_series(nm.z_from_x(xs), ctx)
-        diff = abs(value - (-1) ** len(xs) * series.real)
-        print(f"integral {value:.12f} vs series {series.real:.12f} "
-              f"(signed diff {diff:.2e}): {'pass' if diff < cfg.tol else 'FAIL'}")
-        ok = ok and diff < cfg.tol
+    if ns.xs:
+        value, series, diff = checks.integral_vs_series(ns.xs, ctx)
+        print(f"integral {value:.12f} vs series {series:.12f} "
+              f"(signed diff {diff:.2e}): {'pass' if diff < ns.tol else 'FAIL'}")
+        ok = ok and diff < ns.tol
     for name in ("double_log", "triple_log"):
-        chain, _target, meta = hy.load_fixture(name)
-        top = hy.topological_part(chain)
-        assignment = {f"x{i + 1}": v for i, v in enumerate(meta["xs"])}
-        value = nm.eval_topological_sum(top, assignment, ctx)
-        expected = meta["integral_sign"] * nm.simplex_integral(meta["xs"], ctx)
-        good = abs(value - expected) < cfg.tol
+        value, expected, gap = checks.fixture_integral(name, ctx)
+        good = gap < ns.tol
         print(f"fixture {name} topological integral {value:.10f} "
               f"expected {expected:.10f}: {'pass' if good else 'FAIL'}")
         ok = ok and good
@@ -256,43 +156,34 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite == "all":
-        suites = list(_SUITES)
-    elif cfg.suite in _SUITES:
-        suites = [cfg.suite]
-    else:
-        print(f"unknown suite {cfg.suite!r}; choose from "
-              f"{', '.join([*_SUITES, 'all'])}", file=sys.stderr)
-        return 2
+def cmd_verify(ns) -> int:
+    ns.xs = _floats(ns.xs)  # before any suite runs, so a bad --x prints nothing else
     ok = True
-    for name in suites:
-        ok = _SUITES[name](cfg) and ok
+    for name in list(_SUITES) if ns.suite == "all" else [ns.suite]:
+        ok = _SUITES[name](ns) and ok
     return 0 if ok else 1
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    ctx = nm.NumericContext(quadrature_order=cfg.order)
-    xs = list(cfg.xs)
-    report = {}
-    if cfg.mode in ("integral", "compare"):
-        report["value"] = nm.simplex_integral(xs, ctx)
-        report["error_estimate"] = nm.integral_error_estimate(xs, ctx)
-    if cfg.mode in ("series", "compare"):
-        z = nm.z_from_x(xs) if cfg.mode == "compare" else xs
-        sval = nm.multiple_log_series(z, ctx)
-        report["series"] = sval.real if sval.imag == 0 else [sval.real, sval.imag]
-    if cfg.mode == "compare":
-        m = len(xs)
-        report["comparison"] = abs(report["value"] - (-1) ** m * report["series"])
-        report["passed"] = report["comparison"] < cfg.tol
+def cmd_eval(ns) -> int:
+    ctx = nm.NumericContext(quadrature_order=ns.order)
+    xs = _floats(ns.xs)
+    if ns.mode == "compare":
+        value, series, gap = checks.integral_vs_series(xs, ctx)
+        report = {"value": value, "error_estimate": nm.integral_error_estimate(xs, ctx),
+                  "series": series, "comparison": gap, "passed": gap < ns.tol}
+    elif ns.mode == "integral":
+        report = {"value": nm.simplex_integral(xs, ctx),
+                  "error_estimate": nm.integral_error_estimate(xs, ctx)}
+    else:
+        sval = nm.multiple_log_series(xs, ctx)
+        report = {"series": sval.real if sval.imag == 0 else [sval.real, sval.imag]}
     print(json.dumps(report, indent=2))
     return 0 if report.get("passed", True) else 1
 
 
 # ---------------------------------------------------------------------------
 
-def _parse(argv) -> RunConfig:
+def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="forest-cycles", description=__doc__)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
@@ -305,11 +196,13 @@ def _parse(argv) -> RunConfig:
 
     p_tau = sub.add_parser("tau", help="emit the tree sum")
     common(p_tau)
+    p_tau.set_defaults(handler=cmd_tau)
 
     p_phi = sub.add_parser("phi", help="emit the cycle image")
     common(p_phi)
     p_phi.add_argument("--tree", dest="tree_file", default=None,
                        help="JSON tree file instead of the tree sum")
+    p_phi.set_defaults(handler=cmd_phi)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=[*_SUITES, "all"])
@@ -320,36 +213,21 @@ def _parse(argv) -> RunConfig:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--count", type=int, default=200)
     p_ver.add_argument("--order", type=int, default=32)
+    p_ver.set_defaults(handler=cmd_verify)
 
     p_ev = sub.add_parser("eval", help="numeric evaluation")
     p_ev.add_argument("mode", choices=("series", "integral", "compare"))
     p_ev.add_argument("--x", dest="xs", type=str, required=True)
     p_ev.add_argument("--tol", type=float, default=1e-6)
     p_ev.add_argument("--order", type=int, default=32)
-
-    ns = top.parse_args(argv)
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for name in ("m", "fmt", "tol", "seed", "count", "fixture",
-                 "tree_file", "suite", "mode", "order"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if getattr(ns, "decos", ""):
-        cfg.decorations = tuple(s.strip() for s in ns.decos.split(",") if s.strip())
-        cfg.m = len(cfg.decorations)
-    if getattr(ns, "xs", ""):
-        cfg.xs = tuple(float(s) for s in ns.xs.split(","))
-    return cfg
+    p_ev.set_defaults(handler=cmd_eval)
+    return top
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("FOREST_CYCLES_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
+    ns = _parser().parse_args(argv)
     try:
-        cfg = _parse(sys.argv[1:] if argv is None else argv)
-        handler = {"tau": cmd_tau, "phi": cmd_phi,
-                   "verify": cmd_verify, "eval": cmd_eval}[cfg.subcommand]
-        return handler(cfg)
+        return ns.handler(ns)
     except (OutOfClassError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .formal import FormalSum
+from .formal import FormalSum, sort_with_parity
 from .symbols import KIND_PARAM, KIND_TOP, Sym, parameter
 
 INF = math.inf
@@ -162,20 +162,6 @@ def dimension(t: CycleTerm) -> int:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _sort_coords(coords) -> Tuple[tuple, int]:
-    items = list(coords)
-    keys = [c.key() for c in items]
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and keys[j - 1] > keys[j]:
-            keys[j - 1], keys[j] = keys[j], keys[j - 1]
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(items), sign
-
-
 def _anonymous_entry(sym: Sym, e: int) -> tuple:
     # parameters are anonymized; constants and topological syms keep names
     if sym.kind == KIND_PARAM:
@@ -257,7 +243,7 @@ def normalize(raw_coords: Iterable[Coordinate]):
     params = sorted({s for c in coords for s in c.q.syms_of_kind(KIND_PARAM)},
                     key=Sym.sort_key)
     if not params:
-        sorted_coords, sign = _sort_coords(coords)
+        sorted_coords, sign = sort_with_parity(coords, Coordinate.key)
         return CycleTerm(sorted_coords), sign
 
     sigs = _param_signatures(coords, params)
@@ -266,7 +252,7 @@ def normalize(raw_coords: Iterable[Coordinate]):
     parities = set()
     for mapping in _cell_assignments(params, sigs):
         renamed = [c.rename(mapping) for c in coords]
-        sorted_coords, sign = _sort_coords(renamed)
+        sorted_coords, sign = sort_with_parity(renamed, Coordinate.key)
         key = tuple(c.key() for c in sorted_coords)
         if best_key is None or key < best_key:
             best_key = key

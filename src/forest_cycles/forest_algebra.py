@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .formal import FormalSum, perm_parity
+from .formal import FormalSum, perm_parity, sort_with_parity
 from .symbols import DecoSymbol
 
 
@@ -167,29 +167,11 @@ def tree_sort_key(tree: RDecoTree) -> tuple:
     return (edge_count(tree), tree.root_deco.sort_key(), _node_key(tree.top))
 
 
-def _sorted_with_koszul(trees) -> Tuple[tuple, int]:
-    """Stable sort with the graded sign: each adjacent swap of trees with
-    edge degrees a, b contributes (-1)^(a*b)."""
-    items = list(trees)
-    keys = [tree_sort_key(t) for t in items]
-    degs = [edge_count(t) for t in items]
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and keys[j - 1] > keys[j]:
-            if (degs[j - 1] * degs[j]) % 2 == 1:
-                sign = -sign
-            items[j - 1], items[j] = items[j], items[j - 1]
-            keys[j - 1], keys[j] = keys[j], keys[j - 1]
-            degs[j - 1], degs[j] = degs[j], degs[j - 1]
-            j -= 1
-    return tuple(items), sign
-
-
 def canonical_term(F: ForestTerm) -> Optional[ForestTerm]:
     """Sorted-tree representative with the sign folded in; None if the
     term is zero (two equal trees of odd degree)."""
-    trees, ksign = _sorted_with_koszul(F.trees)
+    trees, ksign = sort_with_parity(F.trees, tree_sort_key,
+                                    odd=lambda t: edge_count(t) % 2 == 1)
     for a, b in zip(trees, trees[1:]):
         if a == b and edge_count(a) % 2 == 1:
             return None

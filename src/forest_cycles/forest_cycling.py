@@ -12,15 +12,9 @@ and its weight-three analogue.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
-from .cycle_algebra import Coordinate, CycleTerm, FormalSum, ONE, add_cycle, boundary, monomial
-from .forest_algebra import (Leaf, RDecoTree, canonical_edge_order, d,
-                             is_generic)
+from .cycle_algebra import Coordinate, CycleTerm, FormalSum, ONE, add_cycle, monomial
+from .forest_algebra import Leaf, RDecoTree, canonical_edge_order
 from .symbols import constant, parameter
-
-log = logging.getLogger(__name__)
 
 
 def _vertex_values(tree: RDecoTree, first_param: int):
@@ -59,14 +53,9 @@ def phi_tree(T: RDecoTree) -> CycleTerm:
 
     The raw (unnormalized) term is returned so that the coordinate list
     reads exactly like the edge list of the tree; sums go through
-    ``phi``, which canonicalizes.  Non-generic trees are mapped anyway,
-    with a warning: the admissibility guarantee is simply void for them.
+    ``phi``, which canonicalizes.  Non-generic trees are mapped too; the
+    admissibility guarantee is simply void for them.
     """
-    from .forest_algebra import is_generic_tree
-
-    if not is_generic_tree(T):
-        log.warning("phi applied to a non-generic tree; "
-                    "admissibility of the image is not guaranteed")
     coords, _ = _tree_coords(T, 1)
     return CycleTerm(tuple(coords))
 
@@ -77,9 +66,6 @@ def phi(S: FormalSum) -> FormalSum:
     concatenation product of their images."""
     out = FormalSum()
     for F, c in S:
-        if not is_generic(F):
-            log.warning("phi applied to a non-generic forest term; "
-                        "admissibility of the image is not guaranteed")
         coords = []
         next_param = 1
         for tree in F.trees:
@@ -87,24 +73,3 @@ def phi(S: FormalSum) -> FormalSum:
             coords.extend(tc)
         add_cycle(out, coords, c * F.sign)
     return out
-
-
-@dataclass
-class ChainMapReport:
-    passed: bool
-    lhs: FormalSum  # phi(d T)
-    rhs: FormalSum  # boundary(phi T)
-
-    @property
-    def difference(self) -> FormalSum:
-        return self.lhs - self.rhs
-
-
-def verify_chain_map(T: RDecoTree) -> ChainMapReport:
-    """Check phi(dT) = boundary(phi T) on the nose."""
-    from .forest_algebra import tree_sum
-
-    S = tree_sum(T)
-    lhs = phi(d(S))
-    rhs = boundary(phi(S))
-    return ChainMapReport(passed=(lhs == rhs), lhs=lhs, rhs=rhs)

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
-from typing import Dict, Tuple
+from typing import Dict
 
 from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, OutOfClassError,
                             add_cycle, boundary, dimension, monomial)
-from .symbols import KIND_PARAM, KIND_TOP, sym_from_name, topological
+from .serialize import cycle_sum_from_json
+from .symbols import KIND_PARAM, KIND_TOP, topological
 
 
 def topological_dimension(t: CycleTerm) -> int:
@@ -209,23 +209,6 @@ def topological_part(chain: FormalSum) -> FormalSum:
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _term_from_json(obj) -> Tuple[list, Fraction]:
-    plain = set(obj.get("plain", ()))
-    coords = []
-    for idx, cobj in enumerate(obj["coords"], start=1):
-        q = monomial({sym_from_name(name): int(e) for name, e in cobj.items()})
-        coords.append(Coordinate(q, idx not in plain))
-    return coords, Fraction(obj["coeff"])
-
-
-def _sum_from_json(entries) -> FormalSum:
-    out = FormalSum()
-    for obj in entries:
-        coords, coeff = _term_from_json(obj)
-        add_cycle(out, coords, coeff)
-    return out
-
-
 def load_fixture(name: str):
     """Load a shipped bounding fixture.
 
@@ -236,7 +219,7 @@ def load_fixture(name: str):
         raise ValueError(f"unknown fixture {name!r}")
     data = json.loads(resources.files("forest_cycles")
                       .joinpath("fixtures").joinpath(f"{name}.json").read_text())
-    chain = _sum_from_json(data["chain"])
-    target = _sum_from_json(data["target"])
+    chain = cycle_sum_from_json(data["chain"])
+    target = cycle_sum_from_json(data["target"])
     meta = {k: data[k] for k in data if k not in ("chain", "target")}
     return chain, target, meta

@@ -7,7 +7,8 @@ check of the weight-two differential identity.
 
 The series and the integral satisfy I(x) = (-1)^m Li(z(x)) for depth m;
 both quantities are exposed unnormalized and the sign relation is
-asserted in the test suite rather than hidden inside either function.
+checked by ``checks.integral_vs_series`` rather than hidden inside
+either function.
 """
 
 from __future__ import annotations

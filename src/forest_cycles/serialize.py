@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cycle_algebra import Coordinate, CycleTerm, monomial
-from .forest_algebra import ForestTerm, Leaf, Node, RDecoTree
+from .cycle_algebra import Coordinate, CycleTerm, add_cycle, monomial
+from .forest_algebra import ForestTerm, Leaf, Node, RDecoTree, add_forest
 from .formal import FormalSum
 from .symbols import deco, sym_from_name
 
@@ -60,8 +60,6 @@ def forest_sum_to_json(S: FormalSum) -> list:
 
 
 def forest_sum_from_json(entries) -> FormalSum:
-    from .forest_algebra import add_forest
-
     out = FormalSum()
     for obj in entries:
         add_forest(out, forest_term_from_json(obj), Fraction(obj.get("coeff", 1)))
@@ -100,8 +98,6 @@ def cycle_sum_to_json(S: FormalSum) -> list:
 
 
 def cycle_sum_from_json(entries) -> FormalSum:
-    from .cycle_algebra import add_cycle
-
     out = FormalSum()
     for obj in entries:
         add_cycle(out, cycle_term_from_json(obj).coords, Fraction(obj.get("coeff", 1)))
@@ -141,7 +137,7 @@ def coordinate_to_latex(c: Coordinate) -> str:
 
 
 def cycle_term_to_latex(t: CycleTerm) -> str:
-    return r"\left[" + ",\, ".join(coordinate_to_latex(c) for c in t.coords) + r"\right]"
+    return r"\left[" + r",\, ".join(coordinate_to_latex(c) for c in t.coords) + r"\right]"
 
 
 def _coeff_prefix(c: Fraction) -> str:

@@ -14,7 +14,7 @@ from typing import List, Tuple
 from .formal import FormalSum
 from .forest_algebra import (ForestTerm, Leaf, Node, RDecoTree, add_forest,
                              d_contributions, edge_is_internal)
-from .symbols import UNIT, DecoSymbol
+from .symbols import UNIT, DecoSymbol, standard_decorations
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,11 @@ class TauSpec:
     @property
     def m(self) -> int:
         return len(self.decorations)
+
+
+def standard_spec(m: int) -> TauSpec:
+    """The spec on the leaf decorations x1..xm."""
+    return TauSpec(standard_decorations(m)[1])
 
 
 def _binary_shapes(leaves):

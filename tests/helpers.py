@@ -1,25 +1,9 @@
 """Shared builders for the test modules."""
 
-import logging
-from contextlib import contextmanager
-
 from forest_cycles import (Coordinate, CycleTerm, ForestTerm, Leaf, Node,
-                           RDecoTree, TauSpec, deco, monomial)
+                           RDecoTree, deco, monomial)
 from forest_cycles.cycle_algebra import cycle_sum
 from forest_cycles.symbols import sym_from_name
-
-
-@contextmanager
-def quiet_cycling_log():
-    # differential images repeat decorations by design; tests that feed
-    # such forests on purpose silence the genericity warning
-    log = logging.getLogger("forest_cycles.forest_cycling")
-    old = log.level
-    log.setLevel(logging.ERROR)
-    try:
-        yield
-    finally:
-        log.setLevel(old)
 
 
 def lf(name):
@@ -58,10 +42,6 @@ def ct(*coords):
 
 def csum(*entries):
     return cycle_sum(entries)
-
-
-def xspec(m):
-    return TauSpec(tuple(deco(f"x{i}") for i in range(1, m + 1)))
 
 
 def two_leaf_tree():

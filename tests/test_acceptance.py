@@ -10,16 +10,12 @@ import random
 import time
 from contextlib import contextmanager
 
-from forest_cycles import (boundary, concat, d, grade, is_admissible,
-                           multiple_log_series, phi, simplex_integral, star,
-                           tau, tau_trees, tree_sum, verify_bounding,
-                           verify_chain_map, z_from_x)
-from forest_cycles.cli import random_forest
-from forest_cycles.forest_algebra import forest_sum
-from forest_cycles.hybrid import load_fixture, topological_part
-from forest_cycles.numerics import check_diffLi, eval_topological_sum
-from forest_cycles.tau import check_decomposable, check_internal_cancellation
-from helpers import bare, csum, om, quiet_cycling_log, xspec
+from forest_cycles import (boundary, checks, phi, simplex_integral,
+                           standard_spec, tau, tau_trees, tree_sum)
+from forest_cycles.checks import random_forest
+from forest_cycles.hybrid import load_fixture
+from forest_cycles.numerics import check_diffLi
+from helpers import bare, csum, om
 
 
 @contextmanager
@@ -41,33 +37,23 @@ def test_criterion_1_forest_dga_laws():
     with criterion(1, "forest differential laws", 10.0):
         rng = random.Random(20260823)
         forests = [random_forest(rng) for _ in range(200)]
-        sums = [forest_sum([(F, 1)]) for F in forests]
-        for S in sums:
-            assert d(d(S)).is_zero()
-        for A, B in zip(sums[0::2], sums[1::2]):
-            if A.is_zero() or B.is_zero():
-                continue
-            eA = grade(A.terms()[0])[0]
-            lhs = d(star(A, B))
-            rhs = star(d(A), B) + star(A, d(B)).scale((-1) ** eA)
-            assert lhs == rhs
+        res = checks.d_squared(forests)
+        assert res.passed, res.witness
+        res = checks.star_leibniz(zip(forests[0::2], forests[1::2]))
+        assert res.passed, res.witness
 
 
 def test_criterion_2_cycle_dga_laws():
     with criterion(2, "cycle differential laws", 10.0):
-        for m in (2, 3, 4, 5):
-            for T in tau_trees(xspec(m)):
-                Z = phi(tree_sum(T))
-                assert boundary(boundary(Z)).is_zero()
+        res = checks.boundary_squared(phi(tree_sum(T)) for m in (2, 3, 4, 5)
+                                      for T in tau_trees(standard_spec(m)))
+        assert res.passed, res.witness
         ca = csum(([bare(u1=1), om(u1=1), om(a=1, u1=-1)], 1))
         cb = csum(([bare(u1=1), om(u1=1), om(b=1, u1=-1)], 1))
         flat = csum(([om(a=1), om(b=1)], 1))
-        pairs = [(phi(tau(xspec(2))), ca), (ca, cb), (flat, ca)]
-        for A, B in pairs:
-            nA = A.terms()[0].n
-            lhs = boundary(concat(A, B))
-            rhs = concat(boundary(A), B) + concat(A, boundary(B)).scale((-1) ** nA)
-            assert lhs == rhs
+        res = checks.concat_leibniz([(phi(tau(standard_spec(2))), ca), (ca, cb),
+                                     (flat, ca)])
+        assert res.passed, res.witness
 
 
 def test_criterion_3_worked_boundary_fixtures():
@@ -84,60 +70,46 @@ def test_criterion_3_worked_boundary_fixtures():
 
 
 def test_criterion_4_chain_map():
-    with criterion(4, "chain map on all tree-sum trees", 30.0), \
-            quiet_cycling_log():
-        total = 0
-        for m in (2, 3, 4, 5):
-            for T in tau_trees(xspec(m)):
-                total += 1
-                rep = verify_chain_map(T)
-                assert rep.passed, f"m={m}: {rep.difference}"
-        assert total == 22
+    with criterion(4, "chain map on all tree-sum trees", 30.0):
+        res = checks.chain_map(T for m in (2, 3, 4, 5)
+                               for T in tau_trees(standard_spec(m)))
+        assert res.passed, res.witness
+        assert res.cases == 22
 
 
 def test_criterion_5_tau_combinatorics():
     with criterion(5, "tree sum combinatorics", 10.0):
         for m, count in [(2, 1), (3, 2), (4, 5), (5, 14), (6, 42), (7, 132)]:
-            assert len(tau(xspec(m))) == count
-        for m in (2, 3, 4, 5):
-            assert check_internal_cancellation(xspec(m)).passed
-        for m in (3, 4, 5):
-            assert check_decomposable(xspec(m)).all_two_trees
+            assert len(tau(standard_spec(m))) == count
+        res = checks.tau_cancellation(standard_spec(m) for m in (2, 3, 4, 5))
+        assert res.passed, res.witness
 
 
 def test_criterion_6_admissibility():
     with criterion(6, "admissibility of tree images", 30.0):
-        for m in (2, 3, 4):
-            for t, _ in phi(tau(xspec(m))):
-                rep = is_admissible(t)
-                assert rep.admissible, rep.certificate
+        res = checks.admissibility(t for m in (2, 3, 4)
+                                   for t, _ in phi(tau(standard_spec(m))))
+        assert res.passed, res.witness
 
 
 def test_criterion_7_bounding_identities():
     with criterion(7, "bounding identities", 5.0):
+        fixtures = []
         for name, scale in (("double_log", 1), ("triple_log", -1)):
             chain, target, meta = load_fixture(name)
-            assert target == phi(tau(xspec(meta["tau_m"]))).scale(scale)
-            rep = verify_bounding(chain, target)
-            assert rep.passed, rep.summary()
-            assert not rep.offending
+            assert target == phi(tau(standard_spec(meta["tau_m"]))).scale(scale)
+            fixtures.append((name, chain, target))
+        res = checks.bounding(fixtures)
+        assert res.passed, res.witness
 
 
 def test_criterion_8_numeric_correspondence():
     with criterion(8, "numeric correspondence", 30.0):
         assert abs(simplex_integral([3.0]) - math.log(2 / 3)) < 1e-9
         for xs in ([3.0], [6.0, 3.0], [12.0, 6.0, 2.0]):
-            m = len(xs)
-            value = simplex_integral(xs)
-            series = multiple_log_series(z_from_x(xs)).real
-            assert abs(value - (-1) ** m * series) < 1e-6
+            assert checks.integral_vs_series(xs)[2] < 1e-6
         for name in ("double_log", "triple_log"):
-            chain, _, meta = load_fixture(name)
-            xs = [float(v) for v in meta["xs"]]
-            assignment = {f"x{i + 1}": v for i, v in enumerate(xs)}
-            value = eval_topological_sum(topological_part(chain), assignment)
-            expected = meta["integral_sign"] * simplex_integral(xs)
-            assert abs(value - expected) < 1e-6
+            assert checks.fixture_integral(name)[2] < 1e-6
 
 
 def test_criterion_9_diff_identity():

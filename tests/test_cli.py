@@ -79,3 +79,16 @@ def test_eval_series_off_polydisc_is_usage_error(capsys):
 def test_missing_tree_file_is_usage_error(capsys):
     assert main(["phi", "--tree", "/does/not/exist.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "compare", "--x", "1,abc"],
+    ["verify", "numeric", "--x", "2,zz"],
+    ["phi", "--decos", "a,a"],
+    ["tau", "--decos", "a"],
+])
+def test_bad_input_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

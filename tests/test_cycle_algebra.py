@@ -1,9 +1,12 @@
+import random
+from itertools import combinations
+
 import pytest
 
-from forest_cycles import (OutOfClassError, boundary, concat, dimension,
-                           face, is_admissible, normalize)
+from forest_cycles import (OutOfClassError, boundary, checks, concat,
+                           dimension, face, is_admissible, normalize)
 from forest_cycles.cycle_algebra import (cycle_sum, face_outcome, unit_sum)
-from forest_cycles.formal import FormalSum
+from forest_cycles.formal import FormalSum, sort_with_parity
 from helpers import bare, csum, ct, om
 
 
@@ -53,9 +56,8 @@ def test_dimension_counts_parameters():
 
 def test_boundary_of_one_parameter_line_fixture():
     S = csum((_ca(), 1))
-    got = boundary(S)
-    assert got == csum(([bare(a=1), om(a=1)], 1))
-    assert boundary(got).is_zero()
+    assert boundary(S) == csum(([bare(a=1), om(a=1)], 1))
+    assert checks.boundary_squared([S]).passed
 
 
 def test_boundary_of_two_parameter_fixture():
@@ -66,9 +68,8 @@ def test_boundary_of_two_parameter_fixture():
         ([om(a=1, b=1), om(a=-1)], -1),
         ([om(b=1), om(a=1)], 1),
     )
-    got = boundary(S)
-    assert got == want
-    assert boundary(got).is_zero()
+    assert boundary(S) == want
+    assert checks.boundary_squared([S]).passed
 
 
 def test_zero_face_solves_for_unit_exponent_pivot():
@@ -117,13 +118,12 @@ def test_face_index_out_of_range():
 def test_boundary_squared_on_monomial_terms():
     # shapes mirror tree images: every degeneration direction hits the
     # removed point 1 in some coordinate before a blow-up occurs
-    for coords in (
+    res = checks.boundary_squared(cycle_sum([(coords, 1)]) for coords in (
         [om(u1=1, a=1), om(u1=1, b=1), om(u1=-1, a=1)],
         [om(u1=-1), om(u1=1, a=-1), om(u1=1, u2=-1), om(u2=1, b=-1)],
         [om(u1=-1, a=1), om(u1=1, b=1), om(u1=1, c=1)],
-    ):
-        S = cycle_sum([(coords, 1)])
-        assert boundary(boundary(S)).is_zero()
+    ))
+    assert res.passed, res.witness
 
 
 def test_concat_unit_and_antisymmetry():
@@ -143,12 +143,8 @@ def test_concat_renames_clashing_parameters():
 
 
 def test_concat_boundary_derivation():
-    A = csum((_ca("a"), 1))
-    B = csum((_ca("b"), 1))
-    nA = A.terms()[0].n
-    lhs = boundary(concat(A, B))
-    rhs = concat(boundary(A), B) + concat(A, boundary(B)).scale((-1) ** nA)
-    assert lhs == rhs
+    res = checks.concat_leibniz([(csum((_ca("a"), 1)), csum((_ca("b"), 1)))])
+    assert res.passed, res.witness
 
 
 def test_admissibility_of_line_fixture():
@@ -164,6 +160,11 @@ def test_admissibility_violation_reports_chain():
     rep = is_admissible(t)
     assert not rep.admissible
     assert rep.certificate
+    # the check's witness names the failing case and its face chain
+    good, _ = normalize(_ca())
+    res = checks.admissibility([good, t])
+    assert not res.passed
+    assert res.witness == f"case 1: {t} fails along the face chain {rep.certificate}"
 
 
 def test_admissibility_raises_outside_class():
@@ -178,3 +179,17 @@ def test_formal_sum_algebra():
     assert (A + A) == A.scale(2)
     assert len(A) == 1
     assert not FormalSum().terms()
+
+
+def test_sort_with_parity_counts_odd_inversions():
+    rng = random.Random(5)
+    for _ in range(200):
+        # (key, degree) pairs; equal keys must keep their order
+        items = [(rng.randrange(4), rng.randrange(3)) for _ in range(rng.randrange(9))]
+        got, sign = sort_with_parity(items, key=lambda it: it[0],
+                                     odd=lambda it: it[1] % 2 == 1)
+        assert list(got) == sorted(items, key=lambda it: it[0])
+        inversions = [(a, b) for a, b in combinations(items, 2) if a[0] > b[0]]
+        odd_odd = sum(1 for a, b in inversions if a[1] % 2 and b[1] % 2)
+        assert sign == (-1) ** odd_odd
+        assert sort_with_parity(items, key=lambda it: it[0])[1] == (-1) ** len(inversions)

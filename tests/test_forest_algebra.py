@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from forest_cycles import (canonical_edge_order, contract, d, grade,
+from forest_cycles import (canonical_edge_order, checks, contract, d, grade,
                            is_generic, is_generic_tree, star, tree_sum)
+from forest_cycles.checks import random_forest
 from forest_cycles.forest_algebra import (canonical_term, edge_count,
                                           edge_is_internal, forest_sum,
                                           leaf_count, node_at)
-from forest_cycles.cli import random_forest
 from helpers import forest, left_comb3, lf, nd, tr, two_leaf_tree
 
 
@@ -81,20 +81,15 @@ def test_d_of_two_leaf_tree_matches_hand_expansion():
 
 def test_d_squared_seeded_sample():
     rng = random.Random(11)
-    for _ in range(30):
-        S = forest_sum([(random_forest(rng), 1)])
-        assert d(d(S)).is_zero()
+    res = checks.d_squared([random_forest(rng) for _ in range(30)])
+    assert res.passed, res.witness
 
 
 def test_graded_leibniz_seeded_sample():
     rng = random.Random(12)
-    for _ in range(15):
-        A = forest_sum([(random_forest(rng, 5), 1)])
-        B = forest_sum([(random_forest(rng, 5), 1)])
-        eA = grade(A.terms()[0])[0]
-        lhs = d(star(A, B))
-        rhs = star(d(A), B) + star(A, d(B)).scale((-1) ** eA)
-        assert lhs == rhs
+    pairs = [(random_forest(rng, 5), random_forest(rng, 5)) for _ in range(15)]
+    res = checks.star_leibniz(pairs)
+    assert res.passed, res.witness
 
 
 def test_star_koszul_swap_sign():

@@ -1,11 +1,13 @@
 import pytest
 
-from forest_cycles import (D, delta, is_negligible, load_fixture, phi, tau,
-                           topological_part, verify_bounding)
+from forest_cycles import (D, checks, delta, is_negligible, load_fixture, phi,
+                           standard_spec, tau, topological_part,
+                           verify_bounding)
+from forest_cycles.formal import FormalSum
 from forest_cycles.hybrid import (delta_term, has_constant_coordinate,
                                   is_topologically_decomposable,
                                   topological_dimension)
-from helpers import csum, ct, om, xspec
+from helpers import csum, ct, om
 
 
 def _eta1():
@@ -92,20 +94,23 @@ def test_bounding_fixtures_pass():
 
 def test_bounding_reports_offenders_against_wrong_target():
     chain, _, _ = load_fixture("double_log")
-    from forest_cycles.formal import FormalSum
-
     rep = verify_bounding(chain, FormalSum())
     assert not rep.passed
     assert rep.offending
     assert "FAIL" in rep.summary()
+    # the check's witness names the fixture and its first offending term
+    res = checks.bounding([("double_log", chain, FormalSum())])
+    assert not res.passed
+    t, c = rep.offending[0]
+    assert res.witness == f"fixture double_log: offending {c} * {t}"
 
 
 def test_fixture_targets_are_tree_images():
     chain2, target2, meta2 = load_fixture("double_log")
-    assert target2 == phi(tau(xspec(2)))
+    assert target2 == phi(tau(standard_spec(2)))
     assert meta2["xs"] == [6, 3]
     chain3, target3, meta3 = load_fixture("triple_log")
-    assert target3 == phi(tau(xspec(3))).scale(-1)
+    assert target3 == phi(tau(standard_spec(3))).scale(-1)
     assert meta3["xs"] == [12, 6, 2]
 
 

@@ -1,5 +1,8 @@
 import json
+import warnings
+from pathlib import Path
 
+import forest_cycles
 from forest_cycles import d, tree_sum
 from forest_cycles import serialize as sz
 from helpers import bare, csum, left_comb3, om, two_leaf_tree
@@ -55,3 +58,10 @@ def test_cycle_term_latex():
 def test_sym_latex_subscripts():
     assert sz.sym_to_latex("x12") == "x_{12}"
     assert sz.sym_to_latex("a") == "a"
+
+
+def test_package_sources_compile_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in sorted(Path(forest_cycles.__file__).parent.glob("*.py")):
+            compile(path.read_text(), str(path), "exec")

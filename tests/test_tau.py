@@ -1,9 +1,10 @@
 import pytest
 
 from forest_cycles import (TauSpec, check_decomposable,
-                           check_internal_cancellation, deco, tau, tau_trees)
+                           check_internal_cancellation, deco, standard_spec,
+                           tau, tau_trees)
 from forest_cycles.forest_algebra import Leaf, Node, edge_count
-from helpers import left_comb3, right_comb3, xspec
+from helpers import left_comb3, right_comb3
 
 
 CATALAN = {2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 132}
@@ -26,12 +27,12 @@ def _leaves(node):
 
 @pytest.mark.parametrize("m", sorted(CATALAN))
 def test_term_count_is_catalan(m):
-    assert len(tau(xspec(m))) == CATALAN[m]
+    assert len(tau(standard_spec(m))) == CATALAN[m]
 
 
 def test_trees_are_trivalent_with_ordered_leaves():
     for m in (2, 3, 4, 5):
-        spec = xspec(m)
+        spec = standard_spec(m)
         for T in tau_trees(spec):
             assert T.root_deco.is_unit
             assert _is_full_binary(T.top)
@@ -40,11 +41,11 @@ def test_trees_are_trivalent_with_ordered_leaves():
 
 
 def test_m3_shapes():
-    assert set(tau_trees(xspec(3))) == {left_comb3(), right_comb3()}
+    assert set(tau_trees(standard_spec(3))) == {left_comb3(), right_comb3()}
 
 
 def test_all_coefficients_are_one():
-    for _, c in tau(xspec(5)):
+    for _, c in tau(standard_spec(5)):
         assert c == 1
 
 
@@ -59,7 +60,7 @@ def test_spec_validation():
 
 def test_internal_contributions_cancel():
     for m in (2, 3, 4, 5):
-        rep = check_internal_cancellation(xspec(m))
+        rep = check_internal_cancellation(standard_spec(m))
         assert rep.passed
         assert not rep.residual_terms
         if m >= 3:
@@ -68,13 +69,13 @@ def test_internal_contributions_cancel():
 
 def test_differential_splits_into_two_trees():
     for m in (3, 4, 5):
-        rep = check_decomposable(xspec(m))
+        rep = check_decomposable(standard_spec(m))
         assert rep.all_two_trees
         assert set(rep.counts) == {2}
 
 
 def test_two_tree_report_for_smallest_case():
-    rep = check_decomposable(xspec(2))
+    rep = check_decomposable(standard_spec(2))
     assert rep.all_two_trees
     assert rep.counts == {2: 3}
     assert rep.note
