@@ -12,33 +12,54 @@ parity exported as a sign, and equal coordinates kill the term.
 Algebraic parameters are renamed to u1..uk by a label-invariant scheme,
 so that two parametrizations of the same cycle compare equal.
 Topological variables are never renamed; their index order is data.
+
+The value types ``Monomial``, ``Coordinate`` and ``CycleTerm`` (like
+``Sym``) are slotted frozen dataclasses that compute their hash once, at
+construction, so a term used as a dictionary key is hashed in constant
+time however deep it is.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .formal import FormalSum, sort_with_parity
+from .formal import FormalSum, perm_parity, sort_with_parity
 from .symbols import KIND_PARAM, KIND_TOP, Sym, parameter
 
 INF = math.inf
 
-_ASSIGNMENT_CAP = 5040  # 7!; relabeling search never comes near this
+# 7!; the depth-7 generic full binary tree (leaves y1..y128) exceeds it,
+# so phi of that tree raises OutOfClassError
+_ASSIGNMENT_CAP = 5040
 
 
 class OutOfClassError(Exception):
     """Raised when an operation would leave the monomial coordinate class."""
 
 
-@dataclass(frozen=True)
+def _pair_key(se) -> tuple:
+    return se[0].sort_key()
+
+
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """Finitely supported exponent vector, stored sorted by symbol key."""
 
     exps: Tuple[Tuple[Sym, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.exps))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Monomial, (self.exps,))
 
     @property
     def is_one(self) -> bool:
@@ -49,9 +70,6 @@ class Monomial:
             if s == sym:
                 return e
         return 0
-
-    def syms(self):
-        return [s for s, _ in self.exps]
 
     def syms_of_kind(self, kind: str):
         return [s for s, _ in self.exps if s.kind == kind]
@@ -77,7 +95,10 @@ class Monomial:
         return self.without(sym) * (repl ** e)
 
     def rename(self, mapping: Dict[Sym, Sym]) -> "Monomial":
-        return monomial({mapping.get(s, s): e for s, e in self.exps})
+        """Rename symbols by a mapping that is one-to-one on the symbols of
+        this monomial (unmapped symbols stay); no exponents merge."""
+        return Monomial(tuple(sorted(((mapping.get(s, s), e) for s, e in self.exps),
+                                     key=_pair_key)))
 
     def key(self) -> tuple:
         return tuple((s.sort_key(), e) for s, e in self.exps)
@@ -98,18 +119,28 @@ def monomial(exps) -> Monomial:
             acc[s] = acc.get(s, 0) + e
             if not acc[s]:
                 del acc[s]
-    return Monomial(tuple(sorted(acc.items(), key=lambda se: se[0].sort_key())))
+    return Monomial(tuple(sorted(acc.items(), key=_pair_key)))
 
 
 ONE = Monomial()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coordinate:
     """The function 1 - q when one_minus is set, else q itself."""
 
     q: Monomial
     one_minus: bool = True
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.q, self.one_minus)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Coordinate, (self.q, self.one_minus))
 
     def key(self) -> tuple:
         return (self.q.key(), 1 if self.one_minus else 0)
@@ -121,31 +152,35 @@ class Coordinate:
         return f"1-{self.q}" if self.one_minus else str(self.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleTerm:
     coords: Tuple[Coordinate, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.coords))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (CycleTerm, (self.coords,))
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
+    def _syms_of_kind(self, kind: str) -> tuple:
+        found = {s for c in self.coords for s, _ in c.q.exps if s.kind == kind}
+        return tuple(sorted(found, key=Sym.sort_key))
+
     @property
     def params(self) -> tuple:
-        seen = []
-        for c in self.coords:
-            for s in c.q.syms_of_kind(KIND_PARAM):
-                if s not in seen:
-                    seen.append(s)
-        return tuple(sorted(seen, key=Sym.sort_key))
+        return self._syms_of_kind(KIND_PARAM)
 
     @property
     def top_syms(self) -> tuple:
-        seen = []
-        for c in self.coords:
-            for s in c.q.syms_of_kind(KIND_TOP):
-                if s not in seen:
-                    seen.append(s)
-        return tuple(sorted(seen, key=Sym.sort_key))
+        return self._syms_of_kind(KIND_TOP)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
@@ -162,65 +197,68 @@ def dimension(t: CycleTerm) -> int:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _anonymous_entry(sym: Sym, e: int) -> tuple:
-    # parameters are anonymized; constants and topological syms keep names
-    if sym.kind == KIND_PARAM:
-        return (KIND_PARAM, "", e)
-    return (sym.kind, sym.name, e)
+def _ranks(values) -> list:
+    """Each value replaced by its rank among the sorted distinct values."""
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
 
 
-def _param_signatures(coords, params):
-    """Label-invariant signatures used to partition the parameters before
-    the relabeling search.  Two refinement rounds over co-occurrence."""
-    base = {}
-    for p in params:
-        occ = []
-        for c in coords:
-            e = c.q.exp_of(p)
-            if e:
-                shape = (1 if c.one_minus else 0,
-                         tuple(sorted(_anonymous_entry(s, ee)
-                                      for s, ee in c.q.exps)))
-                occ.append((shape, e))
-        base[p] = tuple(sorted(occ))
+def _param_signatures(coords, index) -> list:
+    """Label-invariant colour of each parameter (by its position in
+    ``index``), used to partition the parameters before the relabeling
+    search: equal colours form a cell, and cells are searched in colour
+    order.
+
+    One walk over the coordinates computes each coordinate's anonymous
+    shape once and records, for every parameter, its (shape, exponent)
+    occurrences and the parameters of each coordinate it sits in.  Up to
+    two rounds of co-occurrence refinement follow.  Each round replaces
+    the nested signature tuples by their rank among the sorted distinct
+    signatures; the rank map preserves order and is injective, so the
+    cells and their order are those of the nested signatures.  A round
+    starts only while some colour is shared, since it ranks by the old
+    colour first and so cannot reorder distinct ones.
+    """
+    occurrences = [[] for _ in index]
+    neighbours = [[] for _ in index]
+    for c in coords:
+        # parameters are anonymized; constants and topological syms keep names
+        shape = (1 if c.one_minus else 0,
+                 tuple(sorted([(s.kind, "" if s.kind == KIND_PARAM else s.name, e)
+                               for s, e in c.q.exps])))
+        members = [(index[s], e) for s, e in c.q.exps if s.kind == KIND_PARAM]
+        ids = [i for i, _ in members]
+        for i, e in members:
+            occurrences[i].append((shape, e))
+            neighbours[i].append(ids)
+    colour = _ranks([tuple(sorted(occ)) for occ in occurrences])
     for _ in range(2):
-        nxt = {}
-        for p in params:
-            neigh = []
-            for c in coords:
-                if c.q.exp_of(p):
-                    others = tuple(sorted(base[s]
-                                          for s in c.q.syms_of_kind(KIND_PARAM)
-                                          if s != p))
-                    neigh.append(others)
-            nxt[p] = (base[p], tuple(sorted(neigh)))
-        base = nxt
-    return base
+        if len(set(colour)) == len(colour):
+            break
+        colour = _ranks([
+            (colour[i], tuple(sorted(tuple(sorted(colour[j] for j in ids if j != i))
+                                     for ids in neighbours[i])))
+            for i in range(len(index))])
+    return colour
 
 
-def _cell_assignments(params, sigs):
-    """Bijections params -> u1..uk respecting the signature partition,
-    with contiguous index blocks per cell in signature order."""
-    cells: Dict[tuple, list] = {}
-    for p in params:
-        cells.setdefault(sigs[p], []).append(p)
-    ordered = [sorted(cells[k], key=Sym.sort_key) for k in sorted(cells)]
+def _cell_assignments(cells):
+    """Bijections from parameter positions to new indices 1..k, with
+    contiguous index blocks per cell in the given cell order.  Each is
+    yielded as one list, overwritten by the next."""
     total = 1
-    for cell in ordered:
+    for cell in cells:
         total *= math.factorial(len(cell))
         if total > _ASSIGNMENT_CAP:
             raise OutOfClassError("parameter relabeling search too large")
-    offsets = []
-    i = 1
-    for cell in ordered:
-        offsets.append(i)
-        i += len(cell)
-    for perms in itertools.product(*[itertools.permutations(c) for c in ordered]):
-        mapping = {}
-        for off, perm in zip(offsets, perms):
-            for d_, p in enumerate(perm):
-                mapping[p] = parameter(off + d_)
-        yield mapping
+    new = [0] * sum(map(len, cells))
+    for perms in itertools.product(*[itertools.permutations(c) for c in cells]):
+        j = 1
+        for perm in perms:
+            for i in perm:
+                new[i] = j
+                j += 1
+        yield new
 
 
 def normalize(raw_coords: Iterable[Coordinate]):
@@ -232,6 +270,11 @@ def normalize(raw_coords: Iterable[Coordinate]):
     coordinates coincide; it also happens when the minimal parameter
     relabeling is reached with both permutation parities, meaning the
     term carries an orientation-reversing self-symmetry.
+
+    The search compares coordinate keys in which every symbol is
+    replaced by its rank in the symbol order (constants, then u1..uk,
+    then topological variables), so no renamed monomial is built until
+    the winning relabeling is known.
     """
     coords = tuple(raw_coords)
     for c in coords:
@@ -240,30 +283,62 @@ def normalize(raw_coords: Iterable[Coordinate]):
     if len(set(coords)) != len(coords):
         return None
 
-    params = sorted({s for c in coords for s in c.q.syms_of_kind(KIND_PARAM)},
-                    key=Sym.sort_key)
+    syms = {s for c in coords for s, _ in c.q.exps}
+    params = sorted((s for s in syms if s.kind == KIND_PARAM), key=Sym.sort_key)
     if not params:
         sorted_coords, sign = sort_with_parity(coords, Coordinate.key)
         return CycleTerm(sorted_coords), sign
 
-    sigs = _param_signatures(coords, params)
+    index = {p: i for i, p in enumerate(params)}
+    colour = _param_signatures(coords, index)
+    cells: Dict[int, list] = {}
+    for i, col in enumerate(colour):
+        cells.setdefault(col, []).append(i)
+
+    # constants rank -c..-1, parameters take their new index 1..k and
+    # topological variables rank k+1.., which is the symbol order
+    k = len(params)
+    fixed = sorted((s for s in syms if s.kind != KIND_PARAM), key=Sym.sort_key)
+    n_const = sum(1 for s in fixed if s.kind != KIND_TOP)
+    rank = {s: r - n_const if r < n_const else r - n_const + k + 1
+            for r, s in enumerate(fixed)}
+    # each coordinate as (constant ranks, (parameter position, exponent)
+    # pairs, topological ranks, 1 for the 1 - q shape)
+    parts = []
+    for c in coords:
+        head, pe, tail = [], [], []
+        for s, e in c.q.exps:
+            if s.kind == KIND_PARAM:
+                pe.append((index[s], e))
+            else:
+                (tail if s.kind == KIND_TOP else head).append((rank[s], e))
+        parts.append((tuple(head), pe, tuple(tail), 1 if c.one_minus else 0))
+
     best_key = None
-    best = None
-    parities = set()
-    for mapping in _cell_assignments(params, sigs):
-        renamed = [c.rename(mapping) for c in coords]
-        sorted_coords, sign = sort_with_parity(renamed, Coordinate.key)
-        key = tuple(c.key() for c in sorted_coords)
+    for new in _cell_assignments([cells[col] for col in sorted(cells)]):
+        keys = [(head + tuple(sorted([(new[i], e) for i, e in pe])) + tail, om)
+                for head, pe, tail, om in parts]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        key = [keys[i] for i in order]
         if best_key is None or key < best_key:
-            best_key = key
-            best = (sorted_coords, sign)
-            parities = {sign}
+            best_key, best_new, best_order = key, list(new), order
+            parities = {perm_parity(order)}
         elif key == best_key:
-            parities.add(sign)
+            parities.add(perm_parity(order))
     if len(parities) == 2:
         return None
-    sorted_coords, sign = best
-    return CycleTerm(sorted_coords), sign
+    # the winning keys spell the canonical coordinates in symbol ranks;
+    # a coordinate whose parameters all keep their names is reused
+    sym_at = {r: s for s, r in rank.items()}
+    sym_at.update((j, parameter(j)) for j in range(1, k + 1))
+    moved = {i for i, p in enumerate(params) if sym_at[best_new[i]] != p}
+    out = []
+    for (q, _), i in zip(best_key, best_order):
+        c = coords[i]
+        if any(j in moved for j, _ in parts[i][1]):
+            c = Coordinate(Monomial(tuple((sym_at[r], e) for r, e in q)), c.one_minus)
+        out.append(c)
+    return CycleTerm(tuple(out)), parities.pop()
 
 
 def add_cycle(out: FormalSum, raw_coords, coeff) -> None:

@@ -8,7 +8,7 @@ constants from algebraic parameters and topological simplex variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 KIND_CONST = "const"
 KIND_PARAM = "param"
@@ -48,7 +48,7 @@ def standard_decorations(m: int):
     return UNIT, tuple(DecoSymbol(f"x{i}") for i in range(1, m + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sym:
     """Multiplicative symbol appearing in cycle coordinates.
 
@@ -56,14 +56,38 @@ class Sym:
     cycle parameter, canonically named u1, u2, ...  kind "top" marks a
     topological simplex variable (s1, s2, ...); there the index order is
     semantic and never renamed.
+
+    The sort key and the hash are computed once, at construction, and
+    equality compares the sort key, which determines the symbol.
     """
 
     kind: str
     name: str
     index: int = 0
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = (_KIND_RANK[self.kind], self.index, self.name)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def sort_key(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.index, self.name)
+        return self._key
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Sym:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: a str hash differs between processes
+        return (Sym, (self.kind, self.name, self.index))
 
     def __str__(self) -> str:
         return self.name

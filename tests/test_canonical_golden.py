@@ -1,0 +1,71 @@
+"""Golden digests of canonical cycle forms.
+
+Each digest is the sha256 of the JSON that ``serialize`` writes for one
+family of outputs (its sums come sorted, and each coordinate lists its
+symbols in the stored order).  Any change to the canonical form,
+the parameter numbering, the coordinate order or a sign changes a
+digest, so a rewrite of the canonicalization kernel must leave these
+untouched.
+"""
+
+import hashlib
+import json
+import random
+from importlib import resources
+
+from forest_cycles import boundary, checks, d, normalize, phi, standard_spec, tau
+from forest_cycles.forest_algebra import forest_sum
+from forest_cycles.serialize import (cycle_sum_to_json, cycle_term_from_json,
+                                     cycle_term_to_json)
+
+EXPECTED = {
+    "phi_tau":
+        "fe78b263b8af954eeb8cf41247da39dc1cc593cc64898e28100af0108b971b37",
+    "boundary_phi_tau":
+        "d701b873fb3230e59c15868100866301f6be95e3e6579c2cd0357b6c0879efa6",
+    "phi_d_tau":
+        "9373213f39486f6f1a34f7c1df0ecb76ad7282b44f3da585806b0e7f1e00bc13",
+    "phi_random_forests":
+        "30b480aadad92e21a19f54d51e6ee8f756d90cf7fcbd228aba6f788c7a66a87a",
+    "normalize_fixtures":
+        "97fe2155d13aba2c90979c9e7075ea070dfbfaa86b098a0c13371aec90d955a8",
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _fixture_terms():
+    # the raw stored coordinates, before any canonicalization
+    for name in ("double_log", "triple_log"):
+        data = json.loads(resources.files("forest_cycles").joinpath(
+            "fixtures").joinpath(f"{name}.json").read_text())
+        for part in ("chain", "target"):
+            for entry in data[part]:
+                yield cycle_term_from_json(entry)
+
+
+def golden_outputs() -> dict:
+    phis = {m: phi(tau(standard_spec(m))) for m in range(2, 6)}
+    rng = random.Random(0)
+    forests = [checks.random_forest(rng) for _ in range(8)]
+    normalized = []
+    for t in _fixture_terms():
+        res = normalize(t.coords)
+        normalized.append(None if res is None
+                          else [cycle_term_to_json(res[0]), res[1]])
+    return {
+        "phi_tau": [cycle_sum_to_json(phis[m]) for m in range(2, 6)],
+        "boundary_phi_tau": [cycle_sum_to_json(boundary(phis[m]))
+                             for m in range(2, 5)],
+        "phi_d_tau": cycle_sum_to_json(phi(d(tau(standard_spec(4))))),
+        "phi_random_forests": [cycle_sum_to_json(phi(forest_sum([(F, 1)])))
+                               for F in forests],
+        "normalize_fixtures": normalized,
+    }
+
+
+def test_canonical_forms_match_golden_digests():
+    got = {name: _digest(out) for name, out in golden_outputs().items()}
+    assert got == EXPECTED
