@@ -14,7 +14,7 @@ either function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -22,6 +22,13 @@ import numpy as np
 from .cycle_algebra import CycleTerm
 from .formal import FormalSum, perm_parity
 from .symbols import KIND_CONST, KIND_PARAM, KIND_TOP
+
+
+# Building the integration matrix holds four n x n float64 arrays at its
+# peak, for n = 2q grid points; a context refuses any larger order q, so
+# the check runs before any array exists.
+INTEGRATION_MEMORY_BUDGET = 256 * 2 ** 20  # bytes
+MAX_QUADRATURE_ORDER = math.isqrt(INTEGRATION_MEMORY_BUDGET // (4 * 8)) // 2
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,11 @@ class NumericContext:
             raise ValueError("series truncation must be >= 1")
         if self.quadrature_order < 2:
             raise ValueError("quadrature order must be >= 2")
+        if self.quadrature_order > MAX_QUADRATURE_ORDER:
+            raise ValueError(
+                f"quadrature order {self.quadrature_order} exceeds "
+                f"{MAX_QUADRATURE_ORDER}, the limit of the "
+                f"{INTEGRATION_MEMORY_BUDGET >> 20} MB memory budget")
         if self.tolerance <= 0 or self.margin <= 0:
             raise ValueError("tolerance and margin must be positive")
 
@@ -119,12 +131,34 @@ def x_from_z(z: Sequence[float]) -> list:
     return out
 
 
+def _integration_matrix(t: np.ndarray) -> np.ndarray:
+    """Q with (Q @ f)[j] = integral from 0 to t_j of the interpolant of f.
+
+    t holds the Chebyshev-Lobatto points of [0, 1], t_0 = 0 and t_{n-1} = 1.
+    On u = 2t - 1 the antiderivative of T_k is T_{k+1}/(2(k+1)) -
+    T_{k-1}/(2(k-1)), with T_0 -> T_1 and T_1 -> T_2/4; rows are then
+    shifted to vanish at u = -1, mapped back from coefficients to values
+    by one solve, and halved for dt = du/2.
+    """
+    n = len(t)
+    k = np.arange(n)
+    vander = np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, n)
+    anti = vander[:, 1:] / (2.0 * (k + 1))
+    anti[:, 2:] -= vander[:, 1:n - 1] / (2.0 * (k[2:] - 1))
+    anti[:, 0] = vander[:, 1]
+    anti -= anti[0]
+    return np.linalg.solve(vander[:, :n].T, anti.T).T / 2.0
+
+
 def simplex_integral(x: Sequence[float], ctx: NumericContext = DEFAULT_CTX) -> float:
     """Integral over 0 <= t1 <= ... <= tm <= 1 of prod dt_i/(t_i - x_i).
 
-    Nested Gauss-Legendre recursion; each level integrates the previous
-    one from 0 to the running upper limit.  All x_i must avoid [0,1] so
-    the integrand stays smooth on the closed simplex.
+    Spectral recursion F_k(s) = int_0^s F_{k-1}(t) dt/(t - x_k), F_0 = 1,
+    carried on n = 2q Chebyshev-Lobatto points of [0, 1] for
+    q = ctx.quadrature_order.  Each step integrates the degree-(2q - 1)
+    interpolant exactly, as the q-point Gauss rule would; the depth-m
+    integral costs O(m q^2) time and O(q^2) memory.  All x_i must avoid
+    [0,1] so the integrand stays smooth on the closed simplex.
     """
     xs = [float(v) for v in x]
     if not xs:
@@ -132,25 +166,18 @@ def simplex_integral(x: Sequence[float], ctx: NumericContext = DEFAULT_CTX) -> f
     for v in xs:
         if 0.0 <= v <= 1.0:
             raise ValueError(f"singular integrand: x = {v} lies in [0,1]")
-    nodes, weights = np.polynomial.legendre.leggauss(ctx.quadrature_order)
-    half = (nodes + 1.0) / 2.0
-
-    def g(level: int, s: np.ndarray) -> np.ndarray:
-        if level == 0:
-            return np.ones_like(s)
-        t = np.multiply.outer(s, half)
-        inner = g(level - 1, t.reshape(-1)).reshape(t.shape)
-        vals = inner / (t - xs[level - 1])
-        return (vals * weights).sum(axis=-1) * (s / 2.0)
-
-    return float(g(len(xs), np.asarray([1.0]))[0])
+    n = 2 * ctx.quadrature_order
+    t = (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) / 2.0
+    Q = _integration_matrix(t)
+    F = np.ones(n)
+    for v in xs:
+        F = Q @ (F / (t - v))
+    return float(F[-1])
 
 
 def integral_error_estimate(x: Sequence[float], ctx: NumericContext = DEFAULT_CTX) -> float:
     """Self-estimate: difference against the doubled quadrature order."""
-    finer = NumericContext(series_truncation=ctx.series_truncation,
-                           quadrature_order=2 * ctx.quadrature_order,
-                           tolerance=ctx.tolerance, margin=ctx.margin)
+    finer = replace(ctx, quadrature_order=2 * ctx.quadrature_order)
     return abs(simplex_integral(x, ctx) - simplex_integral(x, finer))
 
 

@@ -86,6 +86,7 @@ def test_missing_tree_file_is_usage_error(capsys):
     ["verify", "numeric", "--x", "2,zz"],
     ["phi", "--decos", "a,a"],
     ["tau", "--decos", "a"],
+    ["eval", "integral", "--x", "2", "--order", "100000000"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     assert main(argv) == 2

@@ -1,11 +1,13 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 
 from forest_cycles import (NumericContext, check_diffLi, eval_topological_cycle,
                            eval_topological_sum, multiple_log_series,
                            simplex_integral, x_from_z, z_from_x)
-from forest_cycles.numerics import (diff_li11_coefficients,
+from forest_cycles.numerics import (MAX_QUADRATURE_ORDER, diff_li11_coefficients,
                                     integral_error_estimate, li1)
 from helpers import bare, csum, ct, om
 
@@ -68,6 +70,57 @@ def test_context_validation():
         NumericContext(quadrature_order=1)
     with pytest.raises(ValueError):
         NumericContext(tolerance=0.0)
+    with pytest.raises(ValueError):
+        NumericContext(quadrature_order=MAX_QUADRATURE_ORDER + 1)
+
+
+def _oracle_points():
+    """Seeded real series arguments, |z_i| in [0.15, 0.6], depths 1..8."""
+    rng = random.Random(5)
+    return [[rng.choice((-1, 1)) * rng.uniform(0.15, 0.6) for _ in range(depth)]
+            for depth in range(1, 9) for _ in range(4)]
+
+
+def _mp_nested_sum(z, mpmath):
+    """sum over 0 < k1 < ... < km of prod z_i^k_i / k_i at 30 digits, cut
+    where 0.6^K is below 1e-35."""
+    with mpmath.workdps(40):
+        cut = 160
+        below = [mpmath.mpf(1)] * (cut + 1)  # sums over the earlier indices
+        for v in z:
+            running = mpmath.mpf(0)
+            for k in range(1, cut + 1):
+                term = mpmath.mpf(v) ** k / k * below[k]
+                below[k] = running
+                running += term
+        return running
+
+
+def test_integral_matches_series_to_depth_eight():
+    for z in _oracle_points():
+        series = multiple_log_series(z).real
+        value = simplex_integral(x_from_z(z))
+        assert value == pytest.approx((-1) ** len(z) * series, rel=1e-12, abs=0)
+
+
+def test_integral_and_series_match_mpmath_to_depth_eight():
+    mpmath = pytest.importorskip("mpmath")
+    for z in _oracle_points():
+        ref = float(_mp_nested_sum(z, mpmath))
+        assert multiple_log_series(z).real == pytest.approx(ref, rel=1e-12, abs=0)
+        assert simplex_integral(x_from_z(z)) == pytest.approx(
+            (-1) ** len(z) * ref, rel=1e-12, abs=0)
+
+
+def test_integral_error_estimate_memory_is_small():
+    x = x_from_z([0.5, -0.3, 0.4, 0.6])
+    tracemalloc.start()
+    try:
+        assert integral_error_estimate(x) < 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_topological_cycle_value_and_orientation():
