@@ -167,13 +167,16 @@ def cmd_verify(ns) -> int:
 def cmd_eval(ns) -> int:
     ctx = nm.NumericContext(quadrature_order=ns.order)
     xs = _floats(ns.xs)
+    if ns.mode != "series":
+        # first, since it rejects a doubled order over the limit before
+        # any integral is computed
+        error = nm.integral_error_estimate(xs, ctx)
     if ns.mode == "compare":
         value, series, gap = checks.integral_vs_series(xs, ctx)
-        report = {"value": value, "error_estimate": nm.integral_error_estimate(xs, ctx),
+        report = {"value": value, "error_estimate": error,
                   "series": series, "comparison": gap, "passed": gap < ns.tol}
     elif ns.mode == "integral":
-        report = {"value": nm.simplex_integral(xs, ctx),
-                  "error_estimate": nm.integral_error_estimate(xs, ctx)}
+        report = {"value": nm.simplex_integral(xs, ctx), "error_estimate": error}
     else:
         sval = nm.multiple_log_series(xs, ctx)
         report = {"series": sval.real if sval.imag == 0 else [sval.real, sval.imag]}

@@ -9,9 +9,11 @@ the free graded commutative algebra on trees, graded by edge count.
 Orientations are stored as a single sign against the canonical edge
 order: the depth-first listing of edges (root edge first, children in
 planar order, recursively), concatenated over the trees of a forest in
-their canonical sorted order.  Every sign produced below is the parity
-of an honest permutation of edges, so the Koszul rule and the
-differential signs come out of one mechanism.
+their canonical sorted order.  A product or a contraction first lists
+its trees in an order whose edges follow the inherited edge order (a
+contraction up to one block swap, whose parity it carries), and
+``canonical_term`` then adds the Koszul sign of sorting those trees, so
+the product and the differential signs come out of one mechanism.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .formal import FormalSum, perm_parity, sort_with_parity
+from .formal import FormalSum, sort_with_parity
 from .symbols import DecoSymbol
 
 
@@ -239,27 +241,13 @@ def _replace(node: TreeNode, path: tuple, new: TreeNode) -> TreeNode:
                 + node.children[j + 1:])
 
 
-def _subtree_edge_paths(node: TreeNode):
-    # relative edge paths inside the subtree hanging below some edge
-    out = []
-
-    def rec(nd, path):
-        if isinstance(nd, Node):
-            for j, ch in enumerate(nd.children):
-                p = path + (j,)
-                out.append(p)
-                rec(ch, p)
-
-    rec(node, ())
-    return out
-
-
 def contract_components(tree: RDecoTree, path: tuple):
-    """Contract one edge; returns the resulting components with token maps,
-    or None when the contraction is degenerate.
+    """Contract one edge; returns (components, sign), or None when the
+    contraction is degenerate.
 
-    Each component comes as (tree, tokens) where tokens maps the new edge
-    paths of the component to the original edge paths of ``tree``.  The
+    The components are listed so that their canonical edge orders,
+    concatenated, are the canonical edge order of ``tree`` without
+    ``path``, up to one block swap whose parity is ``sign``.  The
     degenerate case is the contraction of the only edge of a single-edge
     tree, whose result has no edges left; its contribution to the
     differential is zero (the differential preserves the leaf count, and
@@ -272,114 +260,55 @@ def contract_components(tree: RDecoTree, path: tuple):
             return None
         # root edge: the root and the top vertex merge into a new root
         # carrying the root decoration; every child is planted there.
-        comps = []
-        for k, ch in enumerate(far.children):
-            tokens = {(): (k,)}
-            for s in _subtree_edge_paths(ch):
-                tokens[s] = (k,) + s
-            comps.append((RDecoTree(tree.root_deco, ch), tokens))
-        return comps
-
-    q, j = path[:-1], path[-1]
+        return tuple(RDecoTree(tree.root_deco, ch) for ch in far.children), 1
 
     if isinstance(far, Node):
-        # internal edge: splice the far children into the parent list
-        new_top = _splice(tree.top, path)
-        c = len(far.children)
-        tokens = {}
-        for r in canonical_edge_order(tree):
-            if r == path:
-                continue
-            if r[:len(q)] == q and len(r) > len(q):
-                k = r[len(q)]
-                if k == j and len(r) > len(q) + 1:
-                    new = q + (j + r[len(q) + 1],) + r[len(q) + 2:]
-                elif k > j:
-                    new = q + (k - 1 + c,) + r[len(q) + 1:]
-                else:
-                    new = r
-            else:
-                new = r
-            tokens[new] = r
-        return [(RDecoTree(tree.root_deco, new_top), tokens)]
+        # internal edge: splice the far children into the parent list,
+        # which keeps every other edge in depth-first order
+        return (RDecoTree(tree.root_deco, _splice(tree.top, path)),), 1
 
     # leaf edge: merge the leaf into its parent vertex, which then carries
     # the leaf decoration, and split there.  The component containing the
     # original root keeps it and sees the merged vertex as a leaf; every
     # other branch is planted at the merged vertex.
+    q, j = path[:-1], path[-1]
     lam = far.deco
-    parent = node_at(tree, q) if q else tree.top
-    root_top = _replace(tree.top, q, Leaf(lam))
-    tokens0 = {}
-    for r in canonical_edge_order(tree):
-        if r[:len(q)] == q and len(r) > len(q):
-            continue  # strictly below the merged vertex
-        tokens0[r] = r
-    comps = [(RDecoTree(tree.root_deco, root_top), tokens0)]
-    for k, ch in enumerate(parent.children):
-        if k == j:
-            continue
-        tokens = {(): q + (k,)}
-        for s in _subtree_edge_paths(ch):
-            tokens[s] = q + (k,) + s
-        comps.append((RDecoTree(lam, ch), tokens))
-    return comps
-
-
-def _assemble(annotated, inherited) -> Optional[Tuple[tuple, int]]:
-    """Sort annotated (tree, tokenmap) components and compare the canonical
-    edge-token order against the inherited one; the parity is the sign."""
-    annotated = sorted(annotated, key=lambda tw: tree_sort_key(tw[0]))
-    trees = tuple(t for t, _ in annotated)
-    for a, b in zip(trees, trees[1:]):
-        if a == b and edge_count(a) % 2 == 1:
-            return None
-    canonical = []
-    for t, tokens in annotated:
-        for p in canonical_edge_order(t):
-            canonical.append(tokens[p])
-    pos = {tok: i for i, tok in enumerate(inherited)}
-    return trees, perm_parity([pos[tok] for tok in canonical])
-
-
-def _forest_edge_tokens(trees) -> list:
-    toks = []
-    for i, t in enumerate(trees):
-        for p in canonical_edge_order(t):
-            toks.append((i, p))
-    return toks
+    root = RDecoTree(tree.root_deco, _replace(tree.top, q, Leaf(lam)))
+    branches = tuple(RDecoTree(lam, ch)
+                     for k, ch in enumerate(node_at(tree, q).children) if k != j)
+    # In ``tree`` the branch edges come right after the edge q, before the
+    # root component's remaining edges; listing the root component first
+    # moves the ``below`` branch edges past those ``after`` edges.
+    order = canonical_edge_order(root)
+    after = len(order) - 1 - order.index(q)
+    below = edge_count(tree) - 1 - len(order)
+    return (root,) + branches, (-1) ** (after * below)
 
 
 def d_contributions(F: ForestTerm):
-    """Per-edge contraction contributions of a canonical forest term.
+    """Per-edge contraction contributions of a forest term.
 
-    Yields (tree_index, edge_path, result, coeff) with result either a
-    canonical ForestTerm of sign +1 paired with a nonzero coeff, or None
-    for contributions that vanish (degenerate contraction or equal odd
-    trees in the result).
+    The edges are taken in the orientation order of ``F``: its trees as
+    listed, each in canonical edge order.  Contracting the k-th edge
+    carries (-1)^k, and ``canonical_term`` adds the Koszul sign of sorting
+    the resulting trees.  Yields (tree_index, edge_path, result, coeff)
+    with result either a canonical ForestTerm of sign +1 paired with a
+    nonzero coeff, or None for contributions that vanish (degenerate
+    contraction or equal odd trees in the result).
     """
     trees = F.trees
-    all_tokens = _forest_edge_tokens(trees)
-    for k, (i, p) in enumerate(all_tokens):
-        comps = contract_components(trees[i], p)
-        if comps is None:
+    edges = [(i, p) for i, T in enumerate(trees) for p in canonical_edge_order(T)]
+    for k, (i, p) in enumerate(edges):
+        cut = contract_components(trees[i], p)
+        term = None
+        if cut is not None:
+            comps, sign = cut
+            term = canonical_term(ForestTerm(trees[:i] + comps + trees[i + 1:],
+                                             F.sign * sign * (-1) ** k))
+        if term is None:
             yield i, p, None, Fraction(0)
-            continue
-        annotated = []
-        for jdx, t in enumerate(trees):
-            if jdx == i:
-                for ct, tokens in comps:
-                    annotated.append((ct, {np: (i, op) for np, op in tokens.items()}))
-            else:
-                annotated.append((t, {pp: (jdx, pp) for pp in canonical_edge_order(t)}))
-        inherited = [tok for tok in all_tokens if tok != (i, p)]
-        res = _assemble(annotated, inherited)
-        if res is None:
-            yield i, p, None, Fraction(0)
-            continue
-        rtrees, parity = res
-        sign = parity if k % 2 == 0 else -parity
-        yield i, p, ForestTerm(rtrees, 1), Fraction(sign) * F.sign
+        else:
+            yield i, p, ForestTerm(term.trees, 1), Fraction(term.sign)
 
 
 def contract(T: RDecoTree, e: tuple) -> Optional[ForestTerm]:
@@ -394,30 +323,21 @@ def contract(T: RDecoTree, e: tuple) -> Optional[ForestTerm]:
     order = canonical_edge_order(T)
     if e not in order:
         raise ValueError(f"invalid edge handle {e!r}")
-    F = ForestTerm((T,))
-    for i, p, result, coeff in d_contributions(F):
-        if p == e:
-            if result is None:
-                return None
-            return ForestTerm(result.trees, int(coeff))
-    raise AssertionError("unreachable")
+    cut = contract_components(T, e)
+    if cut is None:
+        return None
+    comps, sign = cut
+    return canonical_term(ForestTerm(comps, sign * (-1) ** order.index(e)))
 
 
-def d_term(F: ForestTerm, edge_filter=None) -> FormalSum:
+def d_term(F: ForestTerm) -> FormalSum:
     out = FormalSum()
-    for i, p, result, coeff in d_contributions(F):
-        if result is None:
-            continue
-        if edge_filter is not None and not edge_filter(F.trees[i], p):
-            continue
-        out.add_term(result, coeff)
+    for _, _, result, coeff in d_contributions(F):
+        if result is not None:
+            out.add_term(result, coeff)
     return out
 
 
-def d(S: FormalSum, edge_filter=None) -> FormalSum:
-    """The forest differential: signed sum of one-edge contractions.
-
-    ``edge_filter(tree, path)`` optionally restricts which contractions
-    are kept (used for the internal-edge cancellation report).
-    """
-    return S.bind(lambda F: d_term(F, edge_filter))
+def d(S: FormalSum) -> FormalSum:
+    """The forest differential: signed sum of one-edge contractions."""
+    return S.bind(d_term)

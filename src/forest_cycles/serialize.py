@@ -28,8 +28,10 @@ def _node_to_json(node):
 
 
 def _node_from_json(obj):
-    if "leaf" in obj:
+    if isinstance(obj, dict) and isinstance(obj.get("leaf"), str):
         return Leaf(deco(obj["leaf"]))
+    if not isinstance(obj, dict) or not isinstance(obj.get("children"), list):
+        raise ValueError(f"tree node needs a 'leaf' name or a 'children' list: {obj!r}")
     return Node(tuple(_node_from_json(ch) for ch in obj["children"]))
 
 
@@ -38,6 +40,8 @@ def tree_to_json(T: RDecoTree) -> dict:
 
 
 def tree_from_json(obj) -> RDecoTree:
+    if not isinstance(obj, dict) or not isinstance(obj.get("root"), str) or "node" not in obj:
+        raise ValueError(f"tree needs a 'root' name and a 'node': {obj!r}")
     return RDecoTree(deco(obj["root"]), _node_from_json(obj["node"]))
 
 

@@ -1,0 +1,43 @@
+"""The benchmark's per-layer tracer still finds what it wraps.
+
+``bench/tracing.py`` wraps package functions by module and name, so a
+rename in ``src/`` would otherwise only show up as a failing traced
+benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from forest_cycles import forest_algebra as fa  # the package imports every traced module
+from helpers import left_comb3
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_traced_function():
+    tracing = _load_tracing()
+    homes = [(sys.modules[f"{tracing.PACKAGE}.{mod}"], name)
+             for mod, name, _pre, _post in tracing.TRACED]
+    originals = [getattr(mod, name) for mod, name in homes]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        unwrapped = [f"{mod.__name__}.{name}"
+                     for (mod, name), fn in zip(homes, originals)
+                     if getattr(mod, name) is fn]
+        fa.d(fa.tree_sum(left_comb3()))  # through the module, as the bench calls it
+        metrics = tracer.metrics()
+    finally:
+        tracer.remove()
+    assert unwrapped == []
+    assert [getattr(mod, name) for mod, name in homes] == originals
+    # one contribution per edge of the five-edge tree, five surviving terms
+    assert metrics["forest_algebra.d_contributions.yields"][0] == 5
+    assert metrics["forest_algebra.d.terms_out"][0] == 5

@@ -1,11 +1,11 @@
-"""Golden digests of canonical cycle forms.
+"""Golden digests of canonical cycle and forest forms.
 
 Each digest is the sha256 of the JSON that ``serialize`` writes for one
 family of outputs (its sums come sorted, and each coordinate lists its
 symbols in the stored order).  Any change to the canonical form,
 the parameter numbering, the coordinate order or a sign changes a
-digest, so a rewrite of the canonicalization kernel must leave these
-untouched.
+digest, so a rewrite of the canonicalization kernel or of the forest
+differential must leave these untouched.
 """
 
 import hashlib
@@ -14,9 +14,11 @@ import random
 from importlib import resources
 
 from forest_cycles import boundary, checks, d, normalize, phi, standard_spec, tau
-from forest_cycles.forest_algebra import forest_sum
+from forest_cycles.forest_algebra import d_contributions, forest_sum
 from forest_cycles.serialize import (cycle_sum_to_json, cycle_term_from_json,
-                                     cycle_term_to_json)
+                                     cycle_term_to_json, forest_sum_to_json,
+                                     forest_term_to_json)
+from helpers import forest, lf, nd, tr
 
 EXPECTED = {
     "phi_tau":
@@ -29,6 +31,12 @@ EXPECTED = {
         "30b480aadad92e21a19f54d51e6ee8f756d90cf7fcbd228aba6f788c7a66a87a",
     "normalize_fixtures":
         "97fe2155d13aba2c90979c9e7075ea070dfbfaa86b098a0c13371aec90d955a8",
+    "d_random_forests":
+        "e089259547579cbb4904d2777cb49404014c3fc61c089b762c77957ded556c4c",
+    "d_tau":
+        "a3714dca9db6181cb7455ed3d082313741d6dbd6a94dbcbaf0d69b5d26681499",
+    "d_contributions_raw":
+        "9f6a16228a0929f90e6363efc2aaced7e5d2570865a5a076db7e05e9dc5b9238",
 }
 
 
@@ -50,6 +58,14 @@ def golden_outputs() -> dict:
     phis = {m: phi(tau(standard_spec(m))) for m in range(2, 6)}
     rng = random.Random(0)
     forests = [checks.random_forest(rng) for _ in range(8)]
+    rng = random.Random(1)
+    d_forests = ([checks.random_forest(rng) for _ in range(40)]
+                 + [checks.random_forest(rng, 14) for _ in range(40)])
+    # an unsorted three-tree forest with repeated names and sign -1; its
+    # leaf edges include odd block swaps
+    multi = forest(tr("x1", nd(nd(lf("x2"), lf("x3"), lf("x1")), lf("x4"))),
+                   tr("1", nd(lf("x1"), nd(lf("x2"), nd(lf("x3"), lf("x2"))))),
+                   tr("x2", lf("x5")), sign=-1)
     normalized = []
     for t in _fixture_terms():
         res = normalize(t.coords)
@@ -63,6 +79,12 @@ def golden_outputs() -> dict:
         "phi_random_forests": [cycle_sum_to_json(phi(forest_sum([(F, 1)])))
                                for F in forests],
         "normalize_fixtures": normalized,
+        "d_random_forests": [forest_sum_to_json(d(forest_sum([(F, 1)])))
+                             for F in d_forests],
+        "d_tau": [forest_sum_to_json(d(tau(standard_spec(m)))) for m in range(2, 7)],
+        "d_contributions_raw": [
+            [i, list(p), None if res is None else forest_term_to_json(res), str(c)]
+            for i, p, res, c in d_contributions(multi)],
     }
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from forest_cycles import numerics
 from forest_cycles.cli import main
 
 
@@ -76,6 +77,21 @@ def test_eval_series_off_polydisc_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blob, key", [
+    ({"node": {"leaf": "x1"}}, "'root'"),
+    ({"root": "1", "node": {"children": [{"lef": "x1"}, {"leaf": "x2"}]}}, "'leaf'"),
+    ({"root": 1, "node": {"leaf": "x1"}}, "'root'"),
+    ({"root": "1", "node": {"children": 5}}, "'children'"),
+], ids=["no_root", "misspelt_leaf", "number_root", "number_children"])
+def test_malformed_tree_file_is_usage_error(blob, key, tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(blob))
+    assert main(["phi", "--tree", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
 def test_missing_tree_file_is_usage_error(capsys):
     assert main(["phi", "--tree", "/does/not/exist.json"]) == 2
     assert "error" in capsys.readouterr().err
@@ -93,3 +109,14 @@ def test_bad_input_is_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["integral", "compare"])
+def test_eval_rejects_doubled_order_before_integrating(mode, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(numerics, "simplex_integral",
+                        lambda *args: calls.append(args) or 0.0)
+    order = str(numerics.MAX_QUADRATURE_ORDER)
+    assert main(["eval", mode, "--x", "2", "--order", order]) == 2
+    assert calls == []
+    assert "exceeds" in capsys.readouterr().err

@@ -69,14 +69,24 @@ def test_contract_invalid_edge():
         contract(two_leaf_tree(), (5,))
 
 
-def test_d_of_two_leaf_tree_matches_hand_expansion():
-    got = d(tree_sum(two_leaf_tree()))
-    want = forest_sum([
+@pytest.mark.parametrize("tree, expansion", [
+    (two_leaf_tree(), [
         (forest(tr("1", lf("x1")), tr("1", lf("x2"))), 1),
         (forest(tr("1", lf("x1")), tr("x1", lf("x2"))), -1),
         (forest(tr("1", lf("x2")), tr("x2", lf("x1"))), 1),
-    ])
-    assert got == want
+    ]),
+    # the last two terms contract the leaf edges to x1 and x2, each an odd
+    # block swap: the branch planted at the merged vertex moves past x3
+    (left_comb3(), [
+        (forest(tr("1", lf("x3")), tr("1", nd(lf("x1"), lf("x2")))), -1),
+        (forest(tr("1", lf("x3")), tr("x3", nd(lf("x1"), lf("x2")))), 1),
+        (forest(tr("1", nd(lf("x1"), lf("x2"), lf("x3")))), -1),
+        (forest(tr("x1", lf("x2")), tr("1", nd(lf("x1"), lf("x3")))), 1),
+        (forest(tr("x2", lf("x1")), tr("1", nd(lf("x2"), lf("x3")))), -1),
+    ]),
+], ids=["two_leaf", "left_comb3"])
+def test_d_matches_hand_expansion(tree, expansion):
+    assert d(tree_sum(tree)) == forest_sum(expansion)
 
 
 def test_d_squared_seeded_sample():
