@@ -17,7 +17,7 @@ from typing import Optional
 from . import forest_algebra as fa
 from . import numerics as nm
 from . import serialize as sz
-from .cycle_algebra import boundary, concat, is_admissible
+from .cycle_algebra import admissibility_violation, boundary, concat
 from .forest_cycling import phi
 from .hybrid import load_fixture, topological_part, verify_bounding
 from .symbols import UNIT, deco
@@ -162,11 +162,14 @@ def chain_map(trees) -> CheckResult:
 
 
 def admissibility(terms) -> CheckResult:
-    """Every face chain of every term meets the faces properly."""
+    """Every face chain of every term meets the faces properly.  The
+    terms share one walk memo, since the faces of a sum's terms repeat."""
+    memo, faces = {}, [0]
+
     def offence(t):
-        rep = is_admissible(t)
-        if not rep.admissible:
-            return f"{t} fails along the face chain {rep.certificate}"
+        chain = admissibility_violation(t, memo, faces)
+        if chain is not None:
+            return f"{t} fails along the face chain {chain}"
     return _check("admissibility", terms, offence)
 
 
@@ -188,10 +191,12 @@ def bounding(fixtures) -> CheckResult:
 # ---------------------------------------------------------------------------
 # numeric correspondences
 
-def integral_vs_series(xs, ctx: nm.NumericContext = nm.DEFAULT_CTX):
+def integral_vs_series(xs, ctx: nm.NumericContext = nm.DEFAULT_CTX, value=None):
     """(integral, series, gap): the iterated simplex integral at xs equals
-    (-1)^m times the series at z_from_x(xs); gap is the distance."""
-    value = nm.simplex_integral(xs, ctx)
+    (-1)^m times the series at z_from_x(xs); gap is the distance.  A
+    caller that has the integral already passes it as ``value``."""
+    if value is None:
+        value = nm.simplex_integral(xs, ctx)
     series = nm.multiple_log_series(nm.z_from_x(xs), ctx).real
     return value, series, abs(value - (-1) ** len(xs) * series)
 

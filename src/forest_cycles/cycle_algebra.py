@@ -13,10 +13,14 @@ Algebraic parameters are renamed to u1..uk by a label-invariant scheme,
 so that two parametrizations of the same cycle compare equal.
 Topological variables are never renamed; their index order is data.
 
-The value types ``Monomial``, ``Coordinate`` and ``CycleTerm`` (like
-``Sym``) are slotted frozen dataclasses that compute their hash once, at
+The value types ``Monomial``, ``Coordinate`` and ``CycleTerm`` are
+slotted frozen dataclasses that compute their hash once, at
 construction, so a term used as a dictionary key is hashed in constant
-time however deep it is.
+time however deep it is; a term also keeps its parameter tuple once it
+has been asked for.  A ``Sym`` is a tuple whose hash, equality and order
+run in C.  A monomial stores its (symbol, exponent) pairs in symbol
+order, so a product is one merge of two sorted runs and a power scales
+the exponents and keeps their order; no Python key function is called.
 """
 
 from __future__ import annotations
@@ -41,13 +45,10 @@ class OutOfClassError(Exception):
     """Raised when an operation would leave the monomial coordinate class."""
 
 
-def _pair_key(se) -> tuple:
-    return se[0].sort_key()
-
-
 @dataclass(frozen=True, slots=True)
 class Monomial:
-    """Finitely supported exponent vector, stored sorted by symbol key."""
+    """Finitely supported exponent vector: (symbol, exponent) pairs with
+    nonzero exponents, in symbol order."""
 
     exps: Tuple[Tuple[Sym, int], ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
@@ -75,18 +76,30 @@ class Monomial:
         return [s for s, _ in self.exps if s.kind == kind]
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        acc: Dict[Sym, int] = dict(self.exps)
-        for s, e in other.exps:
-            acc[s] = acc.get(s, 0) + e
-        return monomial(acc)
+        if not other.exps:
+            return self
+        if not self.exps:
+            return other
+        # sorted() merges the two sorted runs in C; a symbol of both
+        # factors comes out as two adjacent pairs, summed or dropped
+        out = []
+        for s, e in sorted(self.exps + other.exps):
+            if out and out[-1][0] == s:
+                e += out.pop()[1]
+                if not e:
+                    continue
+            out.append((s, e))
+        return Monomial(tuple(out))
 
     def __pow__(self, k: int) -> "Monomial":
+        if k == 1:
+            return self
         if k == 0:
             return ONE
-        return monomial({s: e * k for s, e in self.exps})
+        return Monomial(tuple((s, e * k) for s, e in self.exps))
 
     def without(self, sym: Sym) -> "Monomial":
-        return Monomial(tuple((s, e) for s, e in self.exps if s != sym))
+        return Monomial(tuple(p for p in self.exps if p[0] != sym))
 
     def substitute(self, sym: Sym, repl: "Monomial") -> "Monomial":
         e = self.exp_of(sym)
@@ -97,11 +110,7 @@ class Monomial:
     def rename(self, mapping: Dict[Sym, Sym]) -> "Monomial":
         """Rename symbols by a mapping that is one-to-one on the symbols of
         this monomial (unmapped symbols stay); no exponents merge."""
-        return Monomial(tuple(sorted(((mapping.get(s, s), e) for s, e in self.exps),
-                                     key=_pair_key)))
-
-    def key(self) -> tuple:
-        return tuple((s.sort_key(), e) for s, e in self.exps)
+        return Monomial(tuple(sorted((mapping.get(s, s), e) for s, e in self.exps)))
 
     def __str__(self) -> str:
         if not self.exps:
@@ -119,7 +128,7 @@ def monomial(exps) -> Monomial:
             acc[s] = acc.get(s, 0) + e
             if not acc[s]:
                 del acc[s]
-    return Monomial(tuple(sorted(acc.items(), key=_pair_key)))
+    return Monomial(tuple(sorted(acc.items())))
 
 
 ONE = Monomial()
@@ -143,7 +152,7 @@ class Coordinate:
         return (Coordinate, (self.q, self.one_minus))
 
     def key(self) -> tuple:
-        return (self.q.key(), 1 if self.one_minus else 0)
+        return (self.q.exps, 1 if self.one_minus else 0)
 
     def rename(self, mapping) -> "Coordinate":
         return Coordinate(self.q.rename(mapping), self.one_minus)
@@ -156,6 +165,7 @@ class Coordinate:
 class CycleTerm:
     coords: Tuple[Coordinate, ...]
     _hash: int = field(init=False, repr=False, compare=False)
+    _params: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(self.coords))
@@ -172,11 +182,13 @@ class CycleTerm:
 
     def _syms_of_kind(self, kind: str) -> tuple:
         found = {s for c in self.coords for s, _ in c.q.exps if s.kind == kind}
-        return tuple(sorted(found, key=Sym.sort_key))
+        return tuple(sorted(found))
 
     @property
     def params(self) -> tuple:
-        return self._syms_of_kind(KIND_PARAM)
+        if self._params is None:
+            object.__setattr__(self, "_params", self._syms_of_kind(KIND_PARAM))
+        return self._params
 
     @property
     def top_syms(self) -> tuple:
@@ -284,7 +296,7 @@ def normalize(raw_coords: Iterable[Coordinate]):
         return None
 
     syms = {s for c in coords for s, _ in c.q.exps}
-    params = sorted((s for s in syms if s.kind == KIND_PARAM), key=Sym.sort_key)
+    params = sorted(s for s in syms if s.kind == KIND_PARAM)
     if not params:
         sorted_coords, sign = sort_with_parity(coords, Coordinate.key)
         return CycleTerm(sorted_coords), sign
@@ -298,7 +310,7 @@ def normalize(raw_coords: Iterable[Coordinate]):
     # constants rank -c..-1, parameters take their new index 1..k and
     # topological variables rank k+1.., which is the symbol order
     k = len(params)
-    fixed = sorted((s for s in syms if s.kind != KIND_PARAM), key=Sym.sort_key)
+    fixed = sorted(s for s in syms if s.kind != KIND_PARAM)
     n_const = sum(1 for s in fixed if s.kind != KIND_TOP)
     rank = {s: r - n_const if r < n_const else r - n_const + k + 1
             for r, s in enumerate(fixed)}
@@ -426,7 +438,7 @@ def _zero_face_one_minus(coords, i):
         # constants alone, or one topological variable against generic
         # constants: no solution on the cube resp. inside [0,1]
         return _EMPTY_OUTCOME
-    pivot = min(pivots, key=Sym.sort_key)
+    pivot = min(pivots)
     e = q.exp_of(pivot)
     repl = q.without(pivot) ** (-e)
     new_coords = []
@@ -442,7 +454,7 @@ def _zero_face_one_minus(coords, i):
                 continue
             empty = True  # bare monomial pinned at the removed point 1
             break
-        new_coords.append(Coordinate(q2, c.one_minus))
+        new_coords.append(c if q2 is c.q else Coordinate(q2, c.one_minus))
     if empty:
         return _EMPTY_OUTCOME
     if flags:
@@ -562,40 +574,45 @@ class AdmissibilityReport:
     faces_checked: int = 0
 
 
-def is_admissible(t: CycleTerm) -> AdmissibilityReport:
-    """Recursive proper-intersection check over all face chains.
+def admissibility_violation(term: CycleTerm, memo: Dict[CycleTerm, Optional[tuple]],
+                            counter: list) -> Optional[tuple]:
+    """The first violating face chain below ``term``, or None.
 
     Each nonempty face must eliminate exactly one algebraic parameter and
     never pin a coordinate at a constant 0 or infinity; the same is then
-    required of every face of the face.  The certificate is the first
-    violating face chain found.
+    required of every face of the face.  ``memo`` maps each term walked
+    to its own chain, which depends on that term alone, so one memo may
+    serve any number of walks; ``counter[0]`` grows by the faces computed.
     """
-    memo: Dict[CycleTerm, Optional[tuple]] = {}
+    if term not in memo:
+        # faces strictly shrink n, so the walk below never meets term
+        memo[term] = _first_violation(term, memo, counter)
+    return memo[term]
+
+
+def _first_violation(term: CycleTerm, memo, counter) -> Optional[tuple]:
+    for i in range(1, term.n + 1):
+        for eps in (0, INF):
+            counter[0] += 1
+            out = face_outcome(term, i, eps)
+            if out.flags:
+                return ((i, eps, "; ".join(out.flags)),)
+            for sub, _ in out.contributions:
+                if dimension(sub) != dimension(term) - 1:
+                    return ((i, eps,
+                             f"face eliminates {dimension(term) - dimension(sub)} parameters"),)
+                deeper = admissibility_violation(sub, memo, counter)
+                if deeper is not None:
+                    return ((i, eps, "face chain"),) + deeper
+    return None
+
+
+def is_admissible(t: CycleTerm) -> AdmissibilityReport:
+    """Recursive proper-intersection check over all face chains, with a
+    memo of its own; the certificate is the first violating face chain
+    found (see ``admissibility_violation``)."""
     counter = [0]
-
-    def walk(term: CycleTerm) -> Optional[tuple]:
-        if term in memo:
-            return memo[term]
-        memo[term] = None  # provisional, faces strictly shrink n anyway
-        for i in range(1, term.n + 1):
-            for eps in (0, INF):
-                counter[0] += 1
-                out = face_outcome(term, i, eps)
-                if out.flags:
-                    memo[term] = ((i, eps, "; ".join(out.flags)),)
-                    return memo[term]
-                for sub, _ in out.contributions:
-                    if dimension(sub) != dimension(term) - 1:
-                        memo[term] = ((i, eps,
-                                       f"face eliminates {dimension(term) - dimension(sub)} parameters"),)
-                        return memo[term]
-                    deeper = walk(sub)
-                    if deeper is not None:
-                        memo[term] = ((i, eps, "face chain"),) + deeper
-                        return memo[term]
-        return None
-
-    chain = walk(t)
+    chain = admissibility_violation(t, {}, counter)
     return AdmissibilityReport(admissible=(chain is None),
                                certificate=chain or (),
                                faces_checked=counter[0])

@@ -175,10 +175,19 @@ def simplex_integral(x: Sequence[float], ctx: NumericContext = DEFAULT_CTX) -> f
     return float(F[-1])
 
 
+def integral_with_error(x: Sequence[float], ctx: NumericContext = DEFAULT_CTX):
+    """(value, error): the simplex integral at the context's order and its
+    self-estimate, the difference against the doubled order.  The doubled
+    order is checked first, so an order over the limit is refused before
+    any integral is computed."""
+    finer = replace(ctx, quadrature_order=2 * ctx.quadrature_order)
+    value = simplex_integral(x, ctx)
+    return value, abs(value - simplex_integral(x, finer))
+
+
 def integral_error_estimate(x: Sequence[float], ctx: NumericContext = DEFAULT_CTX) -> float:
     """Self-estimate: difference against the doubled quadrature order."""
-    finer = replace(ctx, quadrature_order=2 * ctx.quadrature_order)
-    return abs(simplex_integral(x, ctx) - simplex_integral(x, finer))
+    return integral_with_error(x, ctx)[1]
 
 
 def eval_topological_cycle(t: CycleTerm, assignment: Dict[str, float],

@@ -4,11 +4,14 @@ Two separate alphabets are in play.  Trees carry decorations on their
 external vertices (``DecoSymbol``), while cycle coordinates are built
 from multiplicative symbols (``Sym``) whose kind separates fixed
 constants from algebraic parameters and topological simplex variables.
+A ``Sym`` is a plain tuple underneath, so the cycle layer hashes,
+compares and sorts symbols at native-tuple speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 KIND_CONST = "const"
 KIND_PARAM = "param"
@@ -48,8 +51,7 @@ def standard_decorations(m: int):
     return UNIT, tuple(DecoSymbol(f"x{i}") for i in range(1, m + 1))
 
 
-@dataclass(frozen=True, slots=True)
-class Sym:
+class Sym(tuple):
     """Multiplicative symbol appearing in cycle coordinates.
 
     kind "const" marks a fixed argument and kind "param" an algebraic
@@ -57,37 +59,30 @@ class Sym:
     topological simplex variable (s1, s2, ...); there the index order is
     semantic and never renamed.
 
-    The sort key and the hash are computed once, at construction, and
-    equality compares the sort key, which determines the symbol.
+    A symbol is the tuple (kind rank, index, name, kind).  Its hash,
+    equality and order are the tuple's, so they run in C; the order is
+    the symbol order (constants, parameters, topological variables, each
+    by index, then name), and the kind, which the rank determines, never
+    decides a comparison.
     """
 
-    kind: str
-    name: str
-    index: int = 0
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        key = (_KIND_RANK[self.kind], self.index, self.name)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, kind: str, name: str, index: int = 0):
+        return tuple.__new__(cls, (_KIND_RANK[kind], index, name, kind))
 
-    def sort_key(self) -> tuple:
-        return self._key
+    index = property(itemgetter(1))
+    name = property(itemgetter(2))
+    kind = property(itemgetter(3))
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Sym:
-            return NotImplemented
-        return self._key == other._key
+    def __getnewargs__(self):
+        return (self.kind, self.name, self.index)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def sort_key(self) -> "Sym":
+        return self
 
-    def __reduce__(self):
-        # rebuild on unpickling: a str hash differs between processes
-        return (Sym, (self.kind, self.name, self.index))
+    def __repr__(self) -> str:
+        return f"Sym(kind={self.kind!r}, name={self.name!r}, index={self.index!r})"
 
     def __str__(self) -> str:
         return self.name

@@ -13,12 +13,13 @@ import json
 import random
 from importlib import resources
 
-from forest_cycles import boundary, checks, d, normalize, phi, standard_spec, tau
+from forest_cycles import (OutOfClassError, boundary, checks, d, is_admissible,
+                           normalize, phi, standard_spec, tau)
 from forest_cycles.forest_algebra import d_contributions, forest_sum
 from forest_cycles.serialize import (cycle_sum_to_json, cycle_term_from_json,
                                      cycle_term_to_json, forest_sum_to_json,
                                      forest_term_to_json)
-from helpers import forest, lf, nd, tr
+from helpers import forest, lf, nd, om, tr
 
 EXPECTED = {
     "phi_tau":
@@ -31,6 +32,10 @@ EXPECTED = {
         "30b480aadad92e21a19f54d51e6ee8f756d90cf7fcbd228aba6f788c7a66a87a",
     "normalize_fixtures":
         "97fe2155d13aba2c90979c9e7075ea070dfbfaa86b098a0c13371aec90d955a8",
+    "admissibility_reports":
+        "595695eba50ee5d7a0dfbbede81dab3363b4dfe75fd0d153993298d8b7947c2d",
+    "boundary_phi_random_forests":
+        "6cb8f2c30fcd4fc7c584fa2c4511f88191465f8f77287bc3f81a4d20518d71ac",
     "d_random_forests":
         "e089259547579cbb4904d2777cb49404014c3fc61c089b762c77957ded556c4c",
     "d_tau":
@@ -54,6 +59,15 @@ def _fixture_terms():
                 yield cycle_term_from_json(entry)
 
 
+def _boundary_or_error(S):
+    # repeated leaf names can pin a face coordinate at a constant, which
+    # the boundary reports as a class error
+    try:
+        return cycle_sum_to_json(boundary(S))
+    except OutOfClassError as exc:
+        return {"error": str(exc)}
+
+
 def golden_outputs() -> dict:
     phis = {m: phi(tau(standard_spec(m))) for m in range(2, 6)}
     rng = random.Random(0)
@@ -66,6 +80,11 @@ def golden_outputs() -> dict:
     multi = forest(tr("x1", nd(nd(lf("x2"), lf("x3"), lf("x1")), lf("x4"))),
                    tr("1", nd(lf("x1"), nd(lf("x2"), nd(lf("x3"), lf("x2"))))),
                    tr("x2", lf("x5")), sign=-1)
+    # every term of phi(tau) in the order of its printed form, then a
+    # term whose zero-face pins a coordinate at a constant
+    violation, _ = normalize([om(u1=1, a=1), om(u1=-1, a=-1)])
+    walked = [t for m in range(2, 6) for t in sorted(phis[m].terms(), key=str)]
+    reports = [is_admissible(t) for t in walked + [violation]]
     normalized = []
     for t in _fixture_terms():
         res = normalize(t.coords)
@@ -79,6 +98,10 @@ def golden_outputs() -> dict:
         "phi_random_forests": [cycle_sum_to_json(phi(forest_sum([(F, 1)])))
                                for F in forests],
         "normalize_fixtures": normalized,
+        "admissibility_reports": [[r.admissible, r.certificate, r.faces_checked]
+                                  for r in reports],
+        "boundary_phi_random_forests": [_boundary_or_error(phi(forest_sum([(F, 1)])))
+                                        for F in forests + d_forests],
         "d_random_forests": [forest_sum_to_json(d(forest_sum([(F, 1)])))
                              for F in d_forests],
         "d_tau": [forest_sum_to_json(d(tau(standard_spec(m)))) for m in range(2, 7)],

@@ -120,3 +120,19 @@ def test_eval_rejects_doubled_order_before_integrating(mode, monkeypatch, capsys
     assert main(["eval", mode, "--x", "2", "--order", order]) == 2
     assert calls == []
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["integral", "compare"])
+def test_eval_integrates_once_per_order(mode, monkeypatch, capsys):
+    orders = []
+    real = numerics.simplex_integral
+
+    def counted(x, ctx):
+        orders.append(ctx.quadrature_order)
+        return real(x, ctx)
+
+    monkeypatch.setattr(numerics, "simplex_integral", counted)
+    assert main(["eval", mode, "--x", "6,3", "--order", "16"]) == 0
+    assert orders == [16, 32]
+    report = json.loads(capsys.readouterr().out)
+    assert report["value"] == real([6.0, 3.0], numerics.NumericContext(quadrature_order=16))

@@ -4,8 +4,10 @@ from itertools import combinations
 import pytest
 
 from forest_cycles import (OutOfClassError, boundary, checks, concat,
-                           dimension, face, is_admissible, normalize)
-from forest_cycles.cycle_algebra import (cycle_sum, face_outcome, unit_sum)
+                           dimension, face, is_admissible, normalize, phi,
+                           standard_spec, tau)
+from forest_cycles.cycle_algebra import (admissibility_violation, cycle_sum,
+                                         face_outcome, unit_sum)
 from forest_cycles.formal import FormalSum, sort_with_parity
 from helpers import bare, csum, ct, om
 
@@ -165,6 +167,22 @@ def test_admissibility_violation_reports_chain():
     res = checks.admissibility([good, t])
     assert not res.passed
     assert res.witness == f"case 1: {t} fails along the face chain {rep.certificate}"
+
+
+def test_shared_walk_memo_gives_the_standalone_verdicts():
+    good = [t for m in (2, 3, 4) for t in phi(tau(standard_spec(m))).terms()]
+    flat, _ = normalize([om(u1=1, a=1), om(u1=-1, a=-1)])
+    # both fail one face down, along a face chain
+    deep1, _ = normalize([om(u1=-1, a=-1), om(u2=1, b=1), om(u1=1, u2=1)])
+    deep2, _ = normalize([om(u1=1, a=1), om(u2=1, a=1), om(u1=-1, u2=1)])
+    terms = good[:5] + [deep1] + good[5:] + [flat, deep2, deep1, flat]
+    memo, faces = {}, [0]
+    standalone = [is_admissible(t) for t in terms]
+    for t, rep in zip(terms, standalone):
+        chain = admissibility_violation(t, memo, faces)
+        assert (chain is None, chain or ()) == (rep.admissible, rep.certificate)
+    assert len(standalone[5].certificate) == 2 and len(standalone[-2].certificate) == 2
+    assert faces[0] < sum(rep.faces_checked for rep in standalone)
 
 
 def test_admissibility_raises_outside_class():
