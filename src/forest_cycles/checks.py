@@ -21,7 +21,7 @@ from .cycle_algebra import admissibility_violation, boundary, concat
 from .forest_cycling import phi
 from .hybrid import load_fixture, topological_part, verify_bounding
 from .symbols import UNIT, deco
-from .tau import check_decomposable, check_internal_cancellation
+from .tau import tau_reports
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,11 @@ def tau_cancellation(specs) -> CheckResult:
     """The internal-edge part of d(tau) vanishes, and from m = 3 on every
     surviving term of d(tau) is a product of two trees."""
     def offence(spec):
-        rep = check_internal_cancellation(spec)
+        rep, dec = tau_reports(spec)
         if not rep.passed:
             return f"m = {spec.m}: {rep.residual_terms} internal-edge results do not cancel"
         if spec.m < 3:
             return None
-        dec = check_decomposable(spec)
         if not dec.all_two_trees:
             return f"m = {spec.m}: terms of d(tau) by tree count {dec.counts}"
     return _check("tau cancellation", specs, offence)

@@ -14,53 +14,117 @@ its trees in an order whose edges follow the inherited edge order (a
 contraction up to one block swap, whose parity it carries), and
 ``canonical_term`` then adds the Koszul sign of sorting those trees, so
 the product and the differential signs come out of one mechanism.
+
+The tree types hash once, at construction, from the cached hashes of
+their parts, and every node carries the edge count of its subtree, so
+dictionary lookups and edge counts never walk a tree.  Sorting walks
+two trees only when they tie on edge count and root decoration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import ClassVar, Optional, Tuple, Union
 
 from .formal import FormalSum, sort_with_parity
 from .symbols import DecoSymbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     deco: DecoSymbol
+    _hash: int = field(init=False, repr=False, compare=False)
+    _edges: ClassVar[int] = 1  # the edge above the leaf
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.deco))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Leaf, (self.deco,))
+
+    def __lt__(self, other) -> bool:
+        # the shape order: a leaf by its decoration, before every node
+        if type(other) is Leaf:
+            return self.deco.sort_key() < other.deco.sort_key()
+        return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     children: Tuple["TreeNode", ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    _edges: int = field(init=False, repr=False, compare=False)  # the edge above and all below
 
     def __post_init__(self):
         # valency >= 3: one edge up, at least two down
         if len(self.children) < 2:
             raise ValueError("internal vertex needs at least 2 children")
+        edges = 1
+        for ch in self.children:
+            edges += ch._edges
+        object.__setattr__(self, "_hash", hash(self.children))
+        object.__setattr__(self, "_edges", edges)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Node, (self.children,))
+
+    def __lt__(self, other) -> bool:
+        # the shape order: nodes by their children, lexicographically
+        return type(other) is Node and self.children < other.children
 
 
 TreeNode = Union[Leaf, Node]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RDecoTree:
     """Planted plane tree; ``top`` hangs below the root edge."""
 
     root_deco: DecoSymbol
     top: TreeNode
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.root_deco, self.top)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (RDecoTree, (self.root_deco, self.top))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForestTerm:
-    """Ordered list of trees with a sign relative to canonical orientation."""
+    """Ordered list of trees with a sign (+1 or -1) relative to canonical
+    orientation."""
 
     trees: Tuple[RDecoTree, ...]
     sign: int = 1
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.trees, self.sign)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (ForestTerm, (self.trees, self.sign))
 
 
 EMPTY_FOREST = ForestTerm(())
+
+# the coefficients of single contractions, shared by every term of ``d``
+_ZERO = Fraction(0)
+_UNITS = {1: Fraction(1), -1: Fraction(-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +159,19 @@ def node_at(tree: RDecoTree, path: tuple) -> TreeNode:
 
 
 def edge_count(tree: RDecoTree) -> int:
-    n = 0
-    stack = [tree.top]
-    while stack:
-        node = stack.pop()
-        n += 1
-        if isinstance(node, Node):
-            stack.extend(node.children)
-    return n
+    return tree.top._edges
+
+
+def _edge_index(tree: RDecoTree, path: tuple) -> int:
+    """Position of the edge ``path`` in the canonical edge order: each step
+    down passes the edge taken and every edge of the earlier siblings."""
+    k, node = 0, tree.top
+    for j in path:
+        k += 1
+        for ch in node.children[:j]:
+            k += ch._edges
+        node = node.children[j]
+    return k
 
 
 def leaf_count(tree: RDecoTree) -> int:
@@ -159,33 +228,43 @@ def is_generic(F: ForestTerm) -> bool:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _node_key(node: TreeNode) -> tuple:
-    if isinstance(node, Leaf):
-        return (0, node.deco.sort_key())
-    return (1,) + tuple(_node_key(ch) for ch in node.children)
-
-
 def tree_sort_key(tree: RDecoTree) -> tuple:
-    return (edge_count(tree), tree.root_deco.sort_key(), _node_key(tree.top))
+    """Edge count, root decoration, then the shape order of the top node,
+    which is walked only when two trees tie on the first two."""
+    return (tree.top._edges, tree.root_deco.sort_key(), tree.top)
+
+
+def _is_odd(tree: RDecoTree) -> bool:
+    return tree.top._edges % 2 == 1
+
+
+def _sorted_trees(trees: tuple):
+    """The trees in canonical order and the Koszul sign of sorting them;
+    None if two equal trees of odd degree make the term zero."""
+    trees, ksign = sort_with_parity(trees, tree_sort_key, odd=_is_odd)
+    for a, b in zip(trees, trees[1:]):
+        if a == b and _is_odd(a):
+            return None
+    return trees, ksign
 
 
 def canonical_term(F: ForestTerm) -> Optional[ForestTerm]:
     """Sorted-tree representative with the sign folded in; None if the
     term is zero (two equal trees of odd degree)."""
-    trees, ksign = sort_with_parity(F.trees, tree_sort_key,
-                                    odd=lambda t: edge_count(t) % 2 == 1)
-    for a, b in zip(trees, trees[1:]):
-        if a == b and edge_count(a) % 2 == 1:
-            return None
+    cut = _sorted_trees(F.trees)
+    if cut is None:
+        return None
+    trees, ksign = cut
     return ForestTerm(trees, F.sign * ksign)
 
 
 def add_forest(out: FormalSum, F: ForestTerm, coeff) -> None:
     """Canonicalize and accumulate into a sum keyed by sign-free terms."""
-    cf = canonical_term(F)
-    if cf is None:
+    cut = _sorted_trees(F.trees)
+    if cut is None:
         return
-    out.add_term(ForestTerm(cf.trees, 1), Fraction(coeff) * cf.sign)
+    trees, ksign = cut
+    out.add_term(ForestTerm(trees), Fraction(coeff) * (F.sign * ksign))
 
 
 def forest_sum(terms) -> FormalSum:
@@ -273,15 +352,15 @@ def contract_components(tree: RDecoTree, path: tuple):
     # other branch is planted at the merged vertex.
     q, j = path[:-1], path[-1]
     lam = far.deco
+    parent = node_at(tree, q)
     root = RDecoTree(tree.root_deco, _replace(tree.top, q, Leaf(lam)))
     branches = tuple(RDecoTree(lam, ch)
-                     for k, ch in enumerate(node_at(tree, q).children) if k != j)
-    # In ``tree`` the branch edges come right after the edge q, before the
-    # root component's remaining edges; listing the root component first
-    # moves the ``below`` branch edges past those ``after`` edges.
-    order = canonical_edge_order(root)
-    after = len(order) - 1 - order.index(q)
-    below = edge_count(tree) - 1 - len(order)
+                     for k, ch in enumerate(parent.children) if k != j)
+    # In ``tree`` the ``below`` branch edges come right after the edge q,
+    # before the ``after`` edges that follow the subtree of q; listing the
+    # root component first moves the branch edges past those.
+    after = edge_count(tree) - parent._edges - _edge_index(tree, q)
+    below = parent._edges - 1 - far._edges
     return (root,) + branches, (-1) ** (after * below)
 
 
@@ -297,18 +376,20 @@ def d_contributions(F: ForestTerm):
     contraction or equal odd trees in the result).
     """
     trees = F.trees
-    edges = [(i, p) for i, T in enumerate(trees) for p in canonical_edge_order(T)]
-    for k, (i, p) in enumerate(edges):
-        cut = contract_components(trees[i], p)
-        term = None
-        if cut is not None:
-            comps, sign = cut
-            term = canonical_term(ForestTerm(trees[:i] + comps + trees[i + 1:],
-                                             F.sign * sign * (-1) ** k))
-        if term is None:
-            yield i, p, None, Fraction(0)
-        else:
-            yield i, p, ForestTerm(term.trees, 1), Fraction(term.sign)
+    edge_sign = F.sign  # F.sign * (-1)^k at the k-th edge
+    for i, T in enumerate(trees):
+        for p in canonical_edge_order(T):
+            cut = contract_components(T, p)
+            term = None
+            if cut is not None:
+                comps, sign = cut
+                term = _sorted_trees(trees[:i] + comps + trees[i + 1:])
+            if term is None:
+                yield i, p, None, _ZERO
+            else:
+                result, ksign = term
+                yield i, p, ForestTerm(result), _UNITS[edge_sign * sign * ksign]
+            edge_sign = -edge_sign
 
 
 def contract(T: RDecoTree, e: tuple) -> Optional[ForestTerm]:

@@ -27,7 +27,10 @@ class FormalSum:
         return s
 
     def add_term(self, term, coeff) -> None:
-        c = self._terms.get(term, _ZERO) + Fraction(coeff)
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        old = self._terms.get(term)
+        c = coeff if old is None else old + coeff
         if c:
             self._terms[term] = c
         else:
@@ -129,6 +132,8 @@ def sort_with_parity(items, key, odd=None) -> Tuple[tuple, int]:
     rule for graded factors.
     """
     items = tuple(items)
+    if len(items) < 2:
+        return items, 1
     keys = [key(x) for x in items]
     order = sorted(range(len(items)), key=keys.__getitem__)
     if order == list(range(len(items))):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Tuple
 
 from .formal import FormalSum
@@ -62,6 +63,16 @@ def tau(spec: TauSpec) -> FormalSum:
     return out
 
 
+def _d_tau(spec: TauSpec):
+    """One walk over every contraction of every tree of tau: yields each
+    tree with its index and its contributions (edge, result, coeff), the
+    vanishing ones left out.  Both reports below read this walk."""
+    for idx, T in enumerate(tau_trees(spec)):
+        yield idx, T, [(p, result, coeff)
+                       for _, p, result, coeff in d_contributions(ForestTerm((T,)))
+                       if result is not None]
+
+
 @dataclass
 class CancellationReport:
     """Outcome of restricting the differential to internal-edge contractions."""
@@ -72,27 +83,27 @@ class CancellationReport:
     residual_terms: int = 0
 
 
+def _cancellation_report(m: int, walk) -> CancellationReport:
+    groups: dict = {}
+    for idx, T, contribs in walk:
+        for p, result, coeff in contribs:
+            if edge_is_internal(T, p):
+                groups.setdefault(result, []).append((idx, p, coeff))
+    pairs = sorted(((repr(result), contribs) for result, contribs in groups.items()),
+                   key=itemgetter(0))
+    residual = sum(1 for _, contribs in pairs
+                   if sum((c for _, _, c in contribs), Fraction(0)))
+    return CancellationReport(m=m, passed=(residual == 0), pairs=pairs,
+                              residual_terms=residual)
+
+
 def check_internal_cancellation(spec: TauSpec) -> CancellationReport:
     """The internal-edge part of d(tau) must vanish identically.
 
     Groups the individual contraction contributions by their resulting
     canonical forest; every group has to sum to zero.
     """
-    groups: dict = {}
-    for idx, T in enumerate(tau_trees(spec)):
-        for i, p, result, coeff in d_contributions(ForestTerm((T,))):
-            if result is None or not edge_is_internal(T, p):
-                continue
-            groups.setdefault(result, []).append((idx, p, coeff))
-    pairs = []
-    residual = 0
-    for result, contribs in sorted(groups.items(), key=lambda kv: repr(kv[0])):
-        total = sum((c for _, _, c in contribs), Fraction(0))
-        pairs.append((repr(result), contribs))
-        if total:
-            residual += 1
-    return CancellationReport(m=spec.m, passed=(residual == 0), pairs=pairs,
-                              residual_terms=residual)
+    return _cancellation_report(spec.m, _d_tau(spec))
 
 
 @dataclass
@@ -105,23 +116,39 @@ class DecomposabilityReport:
     note: str = ""
 
 
-def check_decomposable(spec: TauSpec) -> DecomposabilityReport:
-    """Every surviving term of d(tau) should be a product of exactly two
-    trees.  Reported, not asserted: callers decide how to treat m = 2,
-    where the statement is not part of the trivalent cancellation setup
-    (it does in fact hold there too)."""
-    from .forest_algebra import d
-
-    dtau = d(tau(spec))
+def _decomposability_report(m: int, walk) -> DecomposabilityReport:
+    # d(tau) summed as ``d`` sums it: tree by tree, each tree's terms first
+    dtau = FormalSum()
+    for _, _, contribs in walk:
+        dT = FormalSum()
+        for _, result, coeff in contribs:
+            dT.add_term(result, coeff)
+        for F, c in dT:
+            dtau.add_term(F, c)
     counts: dict = {}
     for F, _ in dtau:
         k = len(F.trees)
         counts[k] = counts.get(k, 0) + 1
     all_two = set(counts) <= {2}
     note = ""
-    if spec.m == 2:
+    if m == 2:
         note = ("m=2: leaf-edge contractions at the single trivalent vertex "
                 "split into two components as well, so every surviving term "
                 "is a product of two trees")
-    return DecomposabilityReport(m=spec.m, all_two_trees=all_two,
+    return DecomposabilityReport(m=m, all_two_trees=all_two,
                                  counts=counts, note=note)
+
+
+def check_decomposable(spec: TauSpec) -> DecomposabilityReport:
+    """Every surviving term of d(tau) should be a product of exactly two
+    trees.  Reported, not asserted: callers decide how to treat m = 2,
+    where the statement is not part of the trivalent cancellation setup
+    (it does in fact hold there too)."""
+    return _decomposability_report(spec.m, _d_tau(spec))
+
+
+def tau_reports(spec: TauSpec):
+    """Both reports of ``spec`` from one walk over the contractions."""
+    walk = list(_d_tau(spec))
+    return (_cancellation_report(spec.m, walk),
+            _decomposability_report(spec.m, walk))

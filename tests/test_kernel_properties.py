@@ -1,13 +1,22 @@
-"""The cycle value kernel against plain references: monomial arithmetic
+"""The value kernels against plain references: monomial arithmetic
 against exponent dicts, the symbol order against an explicit sort key,
-and pickling of every value type."""
+the tree order, edge count and leaf-edge contraction sign against the
+edge listing, and pickling of every value type."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forest_cycles import Coordinate, CycleTerm, constant, monomial, parameter
+import forest_cycles
+from forest_cycles import (UNIT, Coordinate, CycleTerm, constant, deco, monomial,
+                           parameter)
+from forest_cycles import forest_algebra as fa
+from forest_cycles.checks import _random_tree
 from forest_cycles.cycle_algebra import ONE
 from forest_cycles.symbols import KIND_CONST, KIND_PARAM, KIND_TOP, topological
 
@@ -91,3 +100,98 @@ def test_pickle_round_trip_keeps_equality_and_hash(raw):
         back = pickle.loads(pickle.dumps(v))
         assert back == v and hash(back) == hash(v)
     assert pickle.loads(pickle.dumps(term)).params == term.params
+
+
+# ---------------------------------------------------------------------------
+# forest value types
+
+POOL = [f"x{i}" for i in range(1, 5)]  # few names, so trees tie and repeat
+
+trees = st.builds(_random_tree, st.randoms(use_true_random=False),
+                  st.integers(1, 12), st.just(POOL))
+
+
+def _reference_edge_count(node) -> int:
+    if isinstance(node, fa.Leaf):
+        return 1
+    return 1 + sum(_reference_edge_count(ch) for ch in node.children)
+
+
+def _reference_node_key(node) -> tuple:
+    if isinstance(node, fa.Leaf):
+        return (0, node.deco.sort_key())
+    return (1,) + tuple(_reference_node_key(ch) for ch in node.children)
+
+
+def _reference_tree_key(tree) -> tuple:
+    return (_reference_edge_count(tree.top), tree.root_deco.sort_key(),
+            _reference_node_key(tree.top))
+
+
+def _with_leaf(node, path, leaf):
+    if not path:
+        return leaf
+    j = path[0]
+    ch = node.children
+    return fa.Node(ch[:j] + (_with_leaf(ch[j], path[1:], leaf),) + ch[j + 1:])
+
+
+def _reference_leaf_contraction(tree, path):
+    """The leaf edge ``path`` contracted, with the sign read off the edge
+    listing of the root component."""
+    q, j = path[:-1], path[-1]
+    parent = fa.node_at(tree, q)
+    lam = parent.children[j].deco
+    root = fa.RDecoTree(tree.root_deco, _with_leaf(tree.top, q, fa.Leaf(lam)))
+    branches = tuple(fa.RDecoTree(lam, ch)
+                     for k, ch in enumerate(parent.children) if k != j)
+    order = fa.canonical_edge_order(root)
+    after = len(order) - 1 - order.index(q)
+    below = _reference_edge_count(tree.top) - 1 - len(order)
+    return (root,) + branches, (-1) ** (after * below)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(trees)
+def test_edge_count_and_leaf_contraction_match_edge_listing(tree):
+    assert fa.edge_count(tree) == _reference_edge_count(tree.top)
+    assert fa.edge_count(tree) == len(fa.canonical_edge_order(tree))
+    for path in fa.canonical_edge_order(tree)[1:]:
+        if isinstance(fa.node_at(tree, path), fa.Leaf):
+            assert fa.contract_components(tree, path) == \
+                _reference_leaf_contraction(tree, path)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(trees, max_size=6))
+def test_tree_order_matches_nested_key(items):
+    assert sorted(items, key=fa.tree_sort_key) == sorted(items, key=_reference_tree_key)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(trees, min_size=1, max_size=3), st.sampled_from([1, -1]))
+def test_forest_pickle_round_trip_keeps_equality_and_hash(items, sign):
+    F = fa.ForestTerm(tuple(items), sign)
+    values = [F, *items, *(T.top for T in items)]
+    values += [ch for T in items if isinstance(T.top, fa.Node) for ch in T.top.children]
+    for v in values:
+        assert not hasattr(v, "__dict__")
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and hash(back) == hash(v)
+
+
+def test_unpickled_forest_hashes_like_a_local_one():
+    # decoration names are strings, whose hash differs between processes,
+    # so a cached tree hash must not travel inside the pickle
+    F = fa.ForestTerm((fa.RDecoTree(UNIT, fa.Node((fa.Leaf(deco("x1")), fa.Leaf(deco("x2"))))),
+                       fa.RDecoTree(deco("x1"), fa.Leaf(deco("x3")))), -1)
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=str(Path(forest_cycles.__file__).parents[1]))
+    code = ("import pickle, sys\n"
+            "from forest_cycles import UNIT, deco, forest_algebra as fa\n"
+            "F = fa.ForestTerm((fa.RDecoTree(UNIT, fa.Node((fa.Leaf(deco('x1')), fa.Leaf(deco('x2'))))),\n"
+            "                   fa.RDecoTree(deco('x1'), fa.Leaf(deco('x3')))), -1)\n"
+            "sys.stdout.buffer.write(pickle.dumps(F))\n")
+    blob = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True).stdout
+    assert {pickle.loads(blob): 1}.get(F) == 1

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from forest_cycles import (TauSpec, check_decomposable,
-                           check_internal_cancellation, deco, standard_spec,
+                           check_internal_cancellation, d, deco, standard_spec,
                            tau, tau_trees)
 from forest_cycles.forest_algebra import Leaf, Node, edge_count
+from forest_cycles.tau import tau_reports
 from helpers import left_comb3, right_comb3
 
 
@@ -79,3 +82,12 @@ def test_two_tree_report_for_smallest_case():
     assert rep.all_two_trees
     assert rep.counts == {2: 3}
     assert rep.note
+
+
+def test_one_walk_gives_both_reports():
+    for m in (2, 3, 4, 5):
+        spec = standard_spec(m)
+        rep, dec = tau_reports(spec)
+        assert rep == check_internal_cancellation(spec)
+        assert dec == check_decomposable(spec)
+        assert dec.counts == dict(Counter(len(F.trees) for F, _ in d(tau(spec))))
