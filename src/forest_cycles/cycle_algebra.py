@@ -12,15 +12,22 @@ parity exported as a sign, and equal coordinates kill the term.
 Algebraic parameters are renamed to u1..uk by a label-invariant scheme,
 so that two parametrizations of the same cycle compare equal.
 Topological variables are never renamed; their index order is data.
+``normalize`` reads the coordinates in one walk, colours the parameters
+by their occurrences and refines the colours to a fixed point.  When
+every parameter has a colour of its own, as almost every term of the
+chain map does, the colour order is the renaming and one sort finishes
+the term; only tied colours start the search for the least relabeling.
 
 The value types ``Monomial``, ``Coordinate`` and ``CycleTerm`` are
 slotted frozen dataclasses that compute their hash once, at
 construction, so a term used as a dictionary key is hashed in constant
-time however deep it is; a term also keeps its parameter tuple once it
-has been asked for.  A ``Sym`` is a tuple whose hash, equality and order
-run in C.  A monomial stores its (symbol, exponent) pairs in symbol
-order, so a product is one merge of two sorted runs and a power scales
-the exponents and keeps their order; no Python key function is called.
+time however deep it is; a term also keeps its parameter and
+topological-variable tuples once they have been asked for.  A ``Sym`` is
+a tuple whose hash, equality and order run in C, and whose first entry
+is its kind rank, which the hot loops test in place of the kind name.
+A monomial stores its (symbol, exponent) pairs in symbol order, so a
+product is one merge of two sorted runs and a power scales the
+exponents and keeps their order; no Python key function is called.
 """
 
 from __future__ import annotations
@@ -31,13 +38,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .formal import FormalSum, perm_parity, sort_with_parity
-from .symbols import KIND_PARAM, KIND_TOP, Sym, parameter
+from .formal import FormalSum, perm_parity
+from .symbols import (KIND_PARAM, KIND_RANK, KIND_TOP, RANK_CONST, RANK_PARAM,
+                      RANK_TOP, Sym, parameter)
 
 INF = math.inf
 
-# 7!; the depth-7 generic full binary tree (leaves y1..y128) exceeds it,
-# so phi of that tree raises OutOfClassError
+# 7!: a relabeling search past it gives up.  Colours refined to a fixed
+# point split every parameter of a tree whose leaves carry distinct
+# names; a symmetric input, such as a root over eight identical copies
+# of one corolla (8! relabelings), still reaches the cap
 _ASSIGNMENT_CAP = 5040
 
 
@@ -73,7 +83,8 @@ class Monomial:
         return 0
 
     def syms_of_kind(self, kind: str):
-        return [s for s, _ in self.exps if s.kind == kind]
+        rank = KIND_RANK[kind]
+        return [s for s, _ in self.exps if s[0] == rank]
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not other.exps:
@@ -166,6 +177,7 @@ class CycleTerm:
     coords: Tuple[Coordinate, ...]
     _hash: int = field(init=False, repr=False, compare=False)
     _params: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _top_syms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(self.coords))
@@ -180,19 +192,21 @@ class CycleTerm:
     def n(self) -> int:
         return len(self.coords)
 
-    def _syms_of_kind(self, kind: str) -> tuple:
-        found = {s for c in self.coords for s, _ in c.q.exps if s.kind == kind}
+    def _syms_of_rank(self, rank: int) -> tuple:
+        found = {s for c in self.coords for s, _ in c.q.exps if s[0] == rank}
         return tuple(sorted(found))
 
     @property
     def params(self) -> tuple:
         if self._params is None:
-            object.__setattr__(self, "_params", self._syms_of_kind(KIND_PARAM))
+            object.__setattr__(self, "_params", self._syms_of_rank(RANK_PARAM))
         return self._params
 
     @property
     def top_syms(self) -> tuple:
-        return self._syms_of_kind(KIND_TOP)
+        if self._top_syms is None:
+            object.__setattr__(self, "_top_syms", self._syms_of_rank(RANK_TOP))
+        return self._top_syms
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
@@ -209,49 +223,40 @@ def dimension(t: CycleTerm) -> int:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _ranks(values) -> list:
-    """Each value replaced by its rank among the sorted distinct values."""
-    rank = {v: r for r, v in enumerate(sorted(set(values)))}
-    return [rank[v] for v in values]
+def _ranks(values):
+    """Each value replaced by its rank among the sorted distinct values,
+    and the number of distinct values."""
+    distinct = sorted(set(values))
+    rank = {v: r for r, v in enumerate(distinct)}
+    return [rank[v] for v in values], len(distinct)
 
 
-def _param_signatures(coords, index) -> list:
-    """Label-invariant colour of each parameter (by its position in
-    ``index``), used to partition the parameters before the relabeling
-    search: equal colours form a cell, and cells are searched in colour
-    order.
+def _param_signatures(occurrences, neighbours):
+    """Label-invariant colours of the parameters and their number.
 
-    One walk over the coordinates computes each coordinate's anonymous
-    shape once and records, for every parameter, its (shape, exponent)
-    occurrences and the parameters of each coordinate it sits in.  Up to
-    two rounds of co-occurrence refinement follow.  Each round replaces
-    the nested signature tuples by their rank among the sorted distinct
-    signatures; the rank map preserves order and is injective, so the
-    cells and their order are those of the nested signatures.  A round
-    starts only while some colour is shared, since it ranks by the old
-    colour first and so cannot reorder distinct ones.
+    Parameter i occurs as the (shape, exponent) pairs ``occurrences[i]``
+    in the coordinates whose parameter positions are ``neighbours[i]``.
+    Equal colours form a cell, and cells are searched in colour order.
+    The first colour ranks the sorted occurrences.  Each refinement
+    round then ranks (old colour, sorted neighbour colours per
+    coordinate); the rank map preserves order and is injective, so the
+    cells and their order are those of the nested signatures, and a
+    round ranks by the old colour first, so it only splits cells.
+    Rounds run to a fixed point (1-dimensional Weisfeiler-Leman on the
+    coordinate-parameter incidence): until the colouring is discrete or
+    a round leaves the number of colours as it was.
     """
-    occurrences = [[] for _ in index]
-    neighbours = [[] for _ in index]
-    for c in coords:
-        # parameters are anonymized; constants and topological syms keep names
-        shape = (1 if c.one_minus else 0,
-                 tuple(sorted([(s.kind, "" if s.kind == KIND_PARAM else s.name, e)
-                               for s, e in c.q.exps])))
-        members = [(index[s], e) for s, e in c.q.exps if s.kind == KIND_PARAM]
-        ids = [i for i, _ in members]
-        for i, e in members:
-            occurrences[i].append((shape, e))
-            neighbours[i].append(ids)
-    colour = _ranks([tuple(sorted(occ)) for occ in occurrences])
-    for _ in range(2):
-        if len(set(colour)) == len(colour):
-            break
-        colour = _ranks([
+    k = len(occurrences)
+    colour, n = _ranks([tuple(sorted(occ)) for occ in occurrences])
+    while n < k:
+        colour, grown = _ranks([
             (colour[i], tuple(sorted(tuple(sorted(colour[j] for j in ids if j != i))
                                      for ids in neighbours[i])))
-            for i in range(len(index))])
-    return colour
+            for i in range(k)])
+        if grown == n:
+            break
+        n = grown
+    return colour, n
 
 
 def _cell_assignments(cells):
@@ -273,6 +278,23 @@ def _cell_assignments(cells):
         yield new
 
 
+_PARAMS = [None]  # _PARAMS[j] is parameter(j), grown on demand
+
+
+def _parameters(k: int) -> list:
+    while len(_PARAMS) <= k:
+        _PARAMS.append(parameter(len(_PARAMS)))
+    return _PARAMS
+
+
+def _keys(parts, new, names) -> list:
+    """Each coordinate's ``Coordinate.key`` after the renaming that gives
+    parameter position i the name ``names[new[i]]``."""
+    return [(head + tuple(sorted([(names[new[i]], e) for i, e in pe])) + tail
+             if pe else head, om)
+            for head, pe, tail, om in parts]
+
+
 def normalize(raw_coords: Iterable[Coordinate]):
     """Canonical (CycleTerm, sign) of a raw coordinate list, or None.
 
@@ -283,74 +305,86 @@ def normalize(raw_coords: Iterable[Coordinate]):
     relabeling is reached with both permutation parities, meaning the
     term carries an orientation-reversing self-symmetry.
 
-    The search compares coordinate keys in which every symbol is
-    replaced by its rank in the symbol order (constants, then u1..uk,
-    then topological variables), so no renamed monomial is built until
-    the winning relabeling is known.
+    One walk over the coordinates splits each exponent tuple into its
+    constants, its parameters and its topological variables (the symbol
+    order keeps each run contiguous) and gathers what the colouring of
+    the parameters needs (``_param_signatures``).  A coordinate's key is
+    its exponent tuple with the parameters renamed, so the keys compare
+    as the renamed coordinates do and the winning keys are the
+    canonical coordinates.  When every colour is its own cell, which is
+    almost every term of the chain map, the colour order is the only
+    assignment: one set of keys and one sort, and the term cannot be
+    zero by symmetry, since a symmetry fixes every colour.  Tied cells
+    go through the search for the minimal key list.
     """
     coords = tuple(raw_coords)
-    for c in coords:
-        if c.q.is_one:
-            return None
     if len(set(coords)) != len(coords):
         return None
-
-    syms = {s for c in coords for s, _ in c.q.exps}
-    params = sorted(s for s in syms if s.kind == KIND_PARAM)
-    if not params:
-        sorted_coords, sign = sort_with_parity(coords, Coordinate.key)
-        return CycleTerm(sorted_coords), sign
-
-    index = {p: i for i, p in enumerate(params)}
-    colour = _param_signatures(coords, index)
-    cells: Dict[int, list] = {}
-    for i, col in enumerate(colour):
-        cells.setdefault(col, []).append(i)
-
-    # constants rank -c..-1, parameters take their new index 1..k and
-    # topological variables rank k+1.., which is the symbol order
-    k = len(params)
-    fixed = sorted(s for s in syms if s.kind != KIND_PARAM)
-    n_const = sum(1 for s in fixed if s.kind != KIND_TOP)
-    rank = {s: r - n_const if r < n_const else r - n_const + k + 1
-            for r, s in enumerate(fixed)}
-    # each coordinate as (constant ranks, (parameter position, exponent)
-    # pairs, topological ranks, 1 for the 1 - q shape)
-    parts = []
+    index: Dict[Sym, int] = {}  # parameter -> position, by first appearance
+    occurrences, neighbours, parts = [], [], []
     for c in coords:
-        head, pe, tail = [], [], []
-        for s, e in c.q.exps:
-            if s.kind == KIND_PARAM:
-                pe.append((index[s], e))
-            else:
-                (tail if s.kind == KIND_TOP else head).append((rank[s], e))
-        parts.append((tuple(head), pe, tuple(tail), 1 if c.one_minus else 0))
+        exps = c.q.exps
+        if not exps:
+            return None
+        om = 1 if c.one_minus else 0
+        n_const = 0
+        pe = []
+        for s, e in exps:
+            if s[0] == RANK_PARAM:
+                i = index.get(s)
+                if i is None:
+                    i = index[s] = len(index)
+                    occurrences.append([])
+                    neighbours.append([])
+                pe.append((i, e))
+            elif s[0] == RANK_CONST:
+                n_const += 1
+        if not pe:
+            parts.append((exps, pe, (), om))
+            continue
+        # parameters are anonymized; constants and topological syms keep names
+        shape = (om, tuple(sorted([(s[3], "" if s[0] == RANK_PARAM else s[2], e)
+                                   for s, e in exps])))
+        ids = [i for i, _ in pe]
+        for i, e in pe:
+            occurrences[i].append((shape, e))
+            neighbours[i].append(ids)
+        parts.append((exps[:n_const], pe, exps[n_const + len(pe):], om))
 
-    best_key = None
-    for new in _cell_assignments([cells[col] for col in sorted(cells)]):
-        keys = [(head + tuple(sorted([(new[i], e) for i, e in pe])) + tail, om)
-                for head, pe, tail, om in parts]
+    k = len(index)
+    colour, n_colours = _param_signatures(occurrences, neighbours)
+    names = _parameters(k)
+    if n_colours == k:
+        keys = _keys(parts, [col + 1 for col in colour], names)
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        key = [keys[i] for i in order]
-        if best_key is None or key < best_key:
-            best_key, best_new, best_order = key, list(new), order
-            parities = {perm_parity(order)}
-        elif key == best_key:
-            parities.add(perm_parity(order))
-    if len(parities) == 2:
-        return None
-    # the winning keys spell the canonical coordinates in symbol ranks;
-    # a coordinate whose parameters all keep their names is reused
-    sym_at = {r: s for s, r in rank.items()}
-    sym_at.update((j, parameter(j)) for j in range(1, k + 1))
-    moved = {i for i, p in enumerate(params) if sym_at[best_new[i]] != p}
+        sign = perm_parity(order)
+    else:
+        cells = [[] for _ in range(n_colours)]
+        for i, col in enumerate(colour):
+            cells[col].append(i)
+        best_key = None
+        for cand in _cell_assignments(cells):
+            cand_keys = _keys(parts, cand, names)
+            cand_order = sorted(range(len(cand_keys)), key=cand_keys.__getitem__)
+            key = [cand_keys[i] for i in cand_order]
+            if best_key is None or key < best_key:
+                best_key, keys, order = key, cand_keys, cand_order
+                parities = {perm_parity(cand_order)}
+            elif key == best_key:
+                parities.add(perm_parity(cand_order))
+        if len(parities) == 2:
+            return None
+        sign = parities.pop()
+    # the winning keys spell the canonical coordinates; a coordinate that
+    # the renaming leaves as it was is reused
     out = []
-    for (q, _), i in zip(best_key, best_order):
+    for i in order:
         c = coords[i]
-        if any(j in moved for j, _ in parts[i][1]):
-            c = Coordinate(Monomial(tuple((sym_at[r], e) for r, e in q)), c.one_minus)
+        q = keys[i][0]
+        if q != c.q.exps:
+            c = Coordinate(Monomial(q), c.one_minus)
         out.append(c)
-    return CycleTerm(tuple(out)), parities.pop()
+    return CycleTerm(tuple(out)), sign
 
 
 def add_cycle(out: FormalSum, raw_coords, coeff) -> None:
@@ -426,7 +460,7 @@ def _limit_outcome(coords, i, degen_sym, to_infinity):
 def _zero_face_one_minus(coords, i):
     """Solve q_i = 1 by eliminating one parameter of exponent +-1."""
     q = coords[i].q
-    pivots = [s for s, e in q.exps if s.kind == KIND_PARAM and abs(e) == 1]
+    pivots = [s for s, e in q.exps if s[0] == RANK_PARAM and abs(e) == 1]
     if not pivots:
         if q.syms_of_kind(KIND_PARAM):
             raise OutOfClassError(
@@ -469,7 +503,7 @@ def _degeneration_directions(q: Monomial, want_infinity: bool):
     """Parameter degenerations u -> 0/inf driving q to 0 or infinity."""
     out = []
     for s, e in q.exps:
-        if s.kind != KIND_PARAM:
+        if s[0] != RANK_PARAM:
             continue
         to_inf = (e > 0) == want_infinity
         out.append((s, to_inf))
@@ -494,7 +528,7 @@ def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
 
     degens = _degeneration_directions(c.q, want_infinity)
     if not degens:
-        if not at_zero and any(e < 0 for s, e in c.q.exps if s.kind == KIND_TOP):
+        if not at_zero and any(e < 0 for s, e in c.q.exps if s[0] == RANK_TOP):
             raise OutOfClassError(
                 f"coordinate {i} would need a topological variable at 0 to blow up")
         return _EMPTY_OUTCOME

@@ -5,6 +5,9 @@ numbered by depth-first order so output is reproducible.  Every edge
 contributes the coordinate 1 - y_near/y_far, where near is the endpoint
 closer to the root and y is the decoration (for external vertices, with
 the unit contributing no factor) or the parameter (for internal ones).
+One preorder walk per tree lists the edges in canonical edge order,
+numbers each internal vertex as its edge is listed, and writes each
+ratio as a monomial of at most two symbols in symbol order.
 The ratio orientation is fixed by the two classical displayed cycles
 this map must reproduce: the weight-two cycle [1-1/u, 1-u/x1, 1-u/x2]
 and its weight-three analogue.
@@ -12,39 +15,49 @@ and its weight-three analogue.
 
 from __future__ import annotations
 
-from .cycle_algebra import Coordinate, CycleTerm, FormalSum, ONE, add_cycle, monomial
-from .forest_algebra import Leaf, RDecoTree, canonical_edge_order
+from .cycle_algebra import Coordinate, CycleTerm, FormalSum, Monomial, ONE, add_cycle
+from .forest_algebra import Leaf, RDecoTree
 from .symbols import constant, parameter
 
 
-def _vertex_values(tree: RDecoTree, first_param: int):
-    """Monomial value of every tree position, parameters in preorder."""
-    values = {}
-    counter = [first_param]
+def _edge_monomial(near, far) -> Monomial:
+    """near/far for two vertex symbols, None standing for the unit."""
+    if near == far:
+        return ONE  # both the unit, or a root decoration met again at its leaf
+    if far is None:
+        return Monomial(((near, 1),))
+    if near is None:
+        return Monomial(((far, -1),))
+    return Monomial(((near, 1), (far, -1)) if near < far else ((far, -1), (near, 1)))
 
-    def rec(node, path):
-        if isinstance(node, Leaf):
-            values[path] = (ONE if node.deco.is_unit
-                            else monomial({constant(node.deco.name): 1}))
-            return
-        values[path] = monomial({parameter(counter[0]): 1})
-        counter[0] += 1
-        for j, ch in enumerate(node.children):
-            rec(ch, path + (j,))
 
-    rec(tree.top, ())
-    root_value = (ONE if tree.root_deco.is_unit
-                  else monomial({constant(tree.root_deco.name): 1}))
-    return root_value, values, counter[0]
+def _deco_symbol(deco):
+    return None if deco.is_unit else constant(deco.name)
 
 
 def _tree_coords(tree: RDecoTree, first_param: int):
-    root_value, values, next_param = _vertex_values(tree, first_param)
+    """The edge coordinates of one tree in canonical edge order, and the
+    next free parameter number.
+
+    One preorder walk lists the edges in that order; the far vertex of
+    an edge, when internal, takes the next parameter as its edge is
+    listed, which numbers the internal vertices in preorder.
+    """
     coords = []
-    for path in canonical_edge_order(tree):
-        near = root_value if path == () else values[path[:-1]]
-        far = values[path]
-        coords.append(Coordinate(near * (far ** -1), True))
+    next_param = first_param
+
+    def walk(near, node):
+        nonlocal next_param
+        if isinstance(node, Leaf):
+            coords.append(Coordinate(_edge_monomial(near, _deco_symbol(node.deco)), True))
+            return
+        far = parameter(next_param)
+        next_param += 1
+        coords.append(Coordinate(_edge_monomial(near, far), True))
+        for ch in node.children:
+            walk(far, ch)
+
+    walk(_deco_symbol(tree.root_deco), tree.top)
     return coords, next_param
 
 

@@ -10,26 +10,40 @@ compares and sorts symbols at native-tuple speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 KIND_CONST = "const"
 KIND_PARAM = "param"
 KIND_TOP = "top"
 
-_KIND_RANK = {KIND_CONST: 0, KIND_PARAM: 1, KIND_TOP: 2}
+# a symbol's first entry; hot loops test it in place of the kind name
+RANK_CONST, RANK_PARAM, RANK_TOP = 0, 1, 2
+KIND_RANK = {KIND_CONST: RANK_CONST, KIND_PARAM: RANK_PARAM, KIND_TOP: RANK_TOP}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoSymbol:
     """Decoration attached to an external vertex of a planted tree.
 
     Exactly one decoration per session is the distinguished unit; it
-    sorts before every other decoration.
+    sorts before every other decoration.  The hash is computed once, at
+    construction, and left out of the pickle (a name's hash differs
+    between processes).
     """
 
     name: str
     is_unit: bool = False
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.is_unit)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (DecoSymbol, (self.name, self.is_unit))
 
     def sort_key(self) -> tuple:
         return (0 if self.is_unit else 1, self.name)
@@ -69,7 +83,7 @@ class Sym(tuple):
     __slots__ = ()
 
     def __new__(cls, kind: str, name: str, index: int = 0):
-        return tuple.__new__(cls, (_KIND_RANK[kind], index, name, kind))
+        return tuple.__new__(cls, (KIND_RANK[kind], index, name, kind))
 
     index = property(itemgetter(1))
     name = property(itemgetter(2))

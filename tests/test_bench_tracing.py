@@ -9,6 +9,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import forest_cycles as fc
 from forest_cycles import forest_algebra as fa  # the package imports every traced module
 from helpers import left_comb3
 
@@ -41,3 +42,19 @@ def test_tracer_wraps_every_traced_function():
     # one contribution per edge of the five-edge tree, five surviving terms
     assert metrics["forest_algebra.d_contributions.yields"][0] == 5
     assert metrics["forest_algebra.d.terms_out"][0] == 5
+
+
+def test_tracer_sees_normalize_and_faces_under_the_chain_map():
+    # a fast path inlined past these module globals would hide the two
+    # layers from the per-layer benchmark
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        fc.boundary(fc.phi(fc.tree_sum(left_comb3())))
+        metrics = tracer.metrics()
+    finally:
+        tracer.remove()
+    assert metrics["forest_cycling.phi.calls"][0] == 1
+    assert metrics["cycle_algebra.normalize.calls"][0] > 1
+    # two faces per coordinate of the five-coordinate image
+    assert metrics["cycle_algebra.face_outcome.calls"][0] == 10

@@ -1,7 +1,7 @@
 import logging
 
-from forest_cycles import (checks, d, phi, phi_tree, standard_spec, tau,
-                           tau_trees, tree_sum)
+from forest_cycles import (UNIT, Leaf, Node, RDecoTree, checks, d, deco, phi,
+                           phi_tree, standard_spec, tau, tau_trees, tree_sum)
 from forest_cycles.forest_algebra import forest_sum
 from helpers import (csum, forest, left_comb3, lf, nd, om, right_comb3, tr,
                      two_leaf_tree)
@@ -67,3 +67,26 @@ def test_images_of_tree_sum_terms_stay_distinct():
         (_, c), = S.items()
         # canonical relabeling may flip orientation but never the weight
         assert c in (1, -1)
+
+
+def _generic_binary_tree(depth: int) -> RDecoTree:
+    names = iter(f"y{i}" for i in range(1, 2 ** depth + 1))
+
+    def build(level):
+        if level == 0:
+            return Leaf(deco(next(names)))
+        return Node((build(level - 1), build(level - 1)))
+
+    return RDecoTree(UNIT, build(depth))
+
+
+def test_depth_seven_generic_binary_tree_maps_and_commutes():
+    # after two refinement rounds, cells of 2, 4 and 8 parameters were
+    # left (2!4!8! relabelings, past the 7! cap); refined to a fixed
+    # point, every parameter has a colour of its own
+    T = _generic_binary_tree(7)
+    (t, c), = phi(tree_sum(T)).items()
+    assert c in (1, -1)
+    assert t.n == 255 and len(t.params) == 127
+    res = checks.chain_map([T])
+    assert res.passed, res.witness

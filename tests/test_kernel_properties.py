@@ -1,7 +1,8 @@
 """The value kernels against plain references: monomial arithmetic
 against exponent dicts, the symbol order against an explicit sort key,
 the tree order, edge count and leaf-edge contraction sign against the
-edge listing, and pickling of every value type."""
+edge listing, the edge coordinates of ``phi`` against vertex values
+read along the edge listing, and pickling of every value type."""
 
 import os
 import pickle
@@ -18,7 +19,9 @@ from forest_cycles import (UNIT, Coordinate, CycleTerm, constant, deco, monomial
 from forest_cycles import forest_algebra as fa
 from forest_cycles.checks import _random_tree
 from forest_cycles.cycle_algebra import ONE
-from forest_cycles.symbols import KIND_CONST, KIND_PARAM, KIND_TOP, topological
+from forest_cycles.forest_cycling import _tree_coords
+from forest_cycles.symbols import (KIND_CONST, KIND_PARAM, KIND_TOP, DecoSymbol,
+                                   topological)
 
 RANK = {KIND_CONST: 0, KIND_PARAM: 1, KIND_TOP: 2}
 
@@ -94,12 +97,16 @@ def test_symbol_order_is_kind_rank_index_name(items):
 def test_pickle_round_trip_keeps_equality_and_hash(raw):
     coords = tuple(Coordinate(monomial(a), om) for a, om in raw)
     term = CycleTerm(coords)
-    term.params  # a cached parameter tuple does not travel in the pickle
+    # cached parameter and topological tuples do not travel in the pickle
+    term.params, term.top_syms
     values = [s for a, _ in raw for s in a] + [c.q for c in coords] + list(coords) + [term]
     for v in values:
         back = pickle.loads(pickle.dumps(v))
         assert back == v and hash(back) == hash(v)
-    assert pickle.loads(pickle.dumps(term)).params == term.params
+    back = pickle.loads(pickle.dumps(term))
+    assert back.params == term.params and back.top_syms == term.top_syms
+    assert term.top_syms == tuple(sorted({s for a, _ in raw for s, e in a.items()
+                                          if e and s.kind == KIND_TOP}))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +181,8 @@ def test_forest_pickle_round_trip_keeps_equality_and_hash(items, sign):
     F = fa.ForestTerm(tuple(items), sign)
     values = [F, *items, *(T.top for T in items)]
     values += [ch for T in items if isinstance(T.top, fa.Node) for ch in T.top.children]
+    values += [T.root_deco for T in items] + [d for T in items
+                                               for d in fa.external_decorations(T)]
     for v in values:
         assert not hasattr(v, "__dict__")
         back = pickle.loads(pickle.dumps(v))
@@ -191,7 +200,62 @@ def test_unpickled_forest_hashes_like_a_local_one():
             "from forest_cycles import UNIT, deco, forest_algebra as fa\n"
             "F = fa.ForestTerm((fa.RDecoTree(UNIT, fa.Node((fa.Leaf(deco('x1')), fa.Leaf(deco('x2'))))),\n"
             "                   fa.RDecoTree(deco('x1'), fa.Leaf(deco('x3')))), -1)\n"
-            "sys.stdout.buffer.write(pickle.dumps(F))\n")
+            "sys.stdout.buffer.write(pickle.dumps((F, deco('x3'))))\n")
     blob = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True).stdout
-    assert {pickle.loads(blob): 1}.get(F) == 1
+    back, x3 = pickle.loads(blob)
+    assert {back: 1}.get(F) == 1
+    assert {x3: 1}.get(deco("x3")) == 1
+
+
+def test_decoration_is_slotted_and_compares_by_name_and_unit():
+    a, b = DecoSymbol("x1"), deco("x1")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert DecoSymbol("1") != UNIT and deco("1") is UNIT
+    assert not hasattr(a, "__dict__")
+    assert repr(a) == "DecoSymbol(name='x1', is_unit=False)"
+
+
+# ---------------------------------------------------------------------------
+# edge coordinates of phi
+
+# "1" is the unit; few names, so root decorations meet their leaves
+DECO_POOL = ["1", "x1", "x2", "x10", "a"]
+
+
+def _reference_tree_coords(tree, first_param: int):
+    """Every vertex valued first (a constant or the unit at the external
+    vertices, parameters in preorder at the internal ones), then one
+    ratio near/far per edge of the canonical edge listing."""
+    values = {}
+    counter = [first_param]
+
+    def value(d):
+        return ONE if d.is_unit else monomial({constant(d.name): 1})
+
+    def rec(node, path):
+        if isinstance(node, fa.Leaf):
+            values[path] = value(node.deco)
+            return
+        values[path] = monomial({parameter(counter[0]): 1})
+        counter[0] += 1
+        for j, ch in enumerate(node.children):
+            rec(ch, path + (j,))
+
+    rec(tree.top, ())
+    coords = [Coordinate((value(tree.root_deco) if path == () else values[path[:-1]])
+                         * values[path] ** -1, True)
+              for path in fa.canonical_edge_order(tree)]
+    return coords, counter[0]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.builds(_random_tree, st.randoms(use_true_random=False),
+                 st.integers(1, 12), st.just(DECO_POOL)),
+       st.integers(1, 5))
+def test_tree_coords_match_vertex_values_along_edge_listing(tree, first):
+    got, nxt = _tree_coords(tree, first)
+    want, want_next = _reference_tree_coords(tree, first)
+    assert nxt == want_next
+    assert [c.q.exps for c in got] == [c.q.exps for c in want]
+    assert got == want and [hash(c) for c in got] == [hash(c) for c in want]

@@ -1,6 +1,8 @@
-"""Label invariance of ``normalize`` and the hash/eq contract of the
-cycle value types."""
+"""Label invariance of ``normalize``, ``normalize`` against a brute-force
+search over every relabeling, and the hash/eq contract of the cycle
+value types."""
 
+import itertools
 import os
 import pickle
 import random
@@ -41,10 +43,15 @@ def _generic_tree(rng: random.Random, budget: int, names) -> RDecoTree:
 def _raw_generic_image(rng: random.Random):
     """Raw coordinates of phi on a random generic forest, each tree's
     parameters in a block of its own, as ``phi`` numbers them."""
-    names = (f"y{i}" for i in range(1, 10 * MAX_EDGES))
+    return _raw_image(rng, MAX_EDGES, (f"y{i}" for i in range(1, 10 * MAX_EDGES)))
+
+
+def _raw_image(rng: random.Random, max_edges: int, names):
+    """``_raw_generic_image`` for at most ``max_edges`` edges, with the
+    leaf and root names drawn from ``names``."""
     coords = []
     offset = 0
-    left = MAX_EDGES
+    left = max_edges
     while left >= 1 and (not coords or rng.random() < 0.4):
         T = _generic_tree(rng, rng.randint((left + 1) // 2, left), names)
         left -= edge_count(T)
@@ -56,17 +63,23 @@ def _raw_generic_image(rng: random.Random):
     return coords
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(st.randoms(use_true_random=False))
-def test_normalize_invariant_under_relabeling_and_permutation(rng):
-    raw = _raw_generic_image(rng)
+def _relabeled_and_shuffled(rng: random.Random, raw):
+    """The coordinates under fresh parameter names in a random order,
+    with the permutation applied."""
     params = sorted({s for c in raw for s, _ in c.q.exps if s.kind == "param"},
                     key=lambda s: s.index)
     fresh = rng.sample(range(1, 5 * len(params) + 2), len(params))
     relabel = {p: parameter(i) for p, i in zip(params, fresh)}
     perm = list(range(len(raw)))
     rng.shuffle(perm)
-    moved = [raw[j].rename(relabel) for j in perm]
+    return [raw[j].rename(relabel) for j in perm], perm
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_normalize_invariant_under_relabeling_and_permutation(rng):
+    raw = _raw_generic_image(rng)
+    moved, perm = _relabeled_and_shuffled(rng, raw)
 
     want = normalize(raw)
     got = normalize(moved)
@@ -74,6 +87,74 @@ def test_normalize_invariant_under_relabeling_and_permutation(rng):
         assert got is None
     else:
         assert got == (want[0], want[1] * perm_parity(perm))
+
+
+def _reference_colours(coords, params) -> dict:
+    """Parameter colours written with plain dicts: each parameter's sorted
+    (anonymous coordinate shape, exponent) occurrences, then rounds that
+    add the sorted colours of the other parameters of each coordinate it
+    sits in, until a round leaves the number of colours as it was."""
+    def shape(c):
+        return (int(c.one_minus),
+                tuple(sorted((s.kind, "" if s.kind == "param" else s.name, e)
+                             for s, e in c.q.exps)))
+
+    def ranked(signature):
+        rank = {v: r for r, v in enumerate(sorted(set(signature.values())))}
+        return {p: rank[v] for p, v in signature.items()}
+
+    around = {p: [c for c in coords if c.q.exp_of(p)] for p in params}
+    colour = ranked({p: tuple(sorted((shape(c), c.q.exp_of(p)) for c in around[p]))
+                     for p in params})
+    while True:
+        refined = ranked({p: (colour[p], tuple(sorted(
+            tuple(sorted(colour[s] for s, _ in c.q.exps if s in colour and s != p))
+            for c in around[p]))) for p in params})
+        if len(set(refined.values())) == len(set(colour.values())):
+            return colour
+        colour = refined
+
+
+def _parity(order) -> int:
+    inversions = sum(a > b for x, a in enumerate(order) for b in order[x + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def _brute_force_normalize(coords):
+    """The least sorted coordinate-key list over every relabeling u1..uk
+    that gives lower colours lower indices, with the sign of its sort;
+    zero when that least list is reached with both signs, when a
+    coordinate is 1 or when two coordinates coincide."""
+    if any(c.q.is_one for c in coords) or len(set(coords)) < len(coords):
+        return None
+    params = sorted({s for c in coords for s, _ in c.q.exps if s.kind == "param"})
+    colour = _reference_colours(coords, params)
+    best = None
+    for names in itertools.permutations(range(1, len(params) + 1)):
+        pairs = list(zip(params, names))
+        if any(colour[p] < colour[q] and i > j
+               for (p, i), (q, j) in itertools.permutations(pairs, 2)):
+            continue
+        renamed = [c.rename({p: parameter(i) for p, i in pairs}) for c in coords]
+        order = sorted(range(len(coords)), key=lambda i: renamed[i].key())
+        key = [renamed[i].key() for i in order]
+        if best is None or key < best[0]:
+            best = (key, tuple(renamed[i] for i in order), {_parity(order)})
+        elif key == best[0]:
+            best[2].add(_parity(order))
+    _, term, parities = best
+    return None if len(parities) == 2 else (CycleTerm(term), parities.pop())
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_normalize_is_the_least_key_over_colour_ordered_relabelings(rng, repeat_names):
+    # at most 11 edges keep k <= 5 parameters, so all k! relabelings are
+    # tried; names from a pool of three give tied colours and zero terms
+    names = (itertools.cycle(["y1", "y2", "y3"]) if repeat_names
+             else (f"y{i}" for i in itertools.count(1)))
+    raw, _ = _relabeled_and_shuffled(rng, _raw_image(rng, 11, names))
+    assert normalize(raw) == _brute_force_normalize(raw)
 
 
 def test_sym_eq_and_hash_agree_across_constructors():
