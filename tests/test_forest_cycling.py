@@ -81,9 +81,9 @@ def _generic_binary_tree(depth: int) -> RDecoTree:
 
 
 def test_depth_seven_generic_binary_tree_maps_and_commutes():
-    # after two refinement rounds, cells of 2, 4 and 8 parameters were
-    # left (2!4!8! relabelings, past the 7! cap); refined to a fixed
-    # point, every parameter has a colour of its own
+    # two refinement rounds leave cells of 2, 4 and 8 parameters here
+    # (2!4!8! relabelings, past the 7! cap); the fixed point gives every
+    # parameter a colour of its own
     T = _generic_binary_tree(7)
     (t, c), = phi(tree_sum(T)).items()
     assert c in (1, -1)

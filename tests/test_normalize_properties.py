@@ -64,8 +64,8 @@ def _raw_image(rng: random.Random, max_edges: int, names):
 
 
 def _relabeled_and_shuffled(rng: random.Random, raw):
-    """The coordinates under fresh parameter names in a random order,
-    with the permutation applied."""
+    """The coordinates under fresh parameter names, in a random order,
+    and that order as a permutation of the input positions."""
     params = sorted({s for c in raw for s, _ in c.q.exps if s.kind == "param"},
                     key=lambda s: s.index)
     fresh = rng.sample(range(1, 5 * len(params) + 2), len(params))
