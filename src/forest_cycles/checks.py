@@ -149,15 +149,16 @@ def concat_leibniz(pairs) -> CheckResult:
     return _check("graded Leibniz for concat", pairs, offence)
 
 
-def chain_map(trees) -> CheckResult:
-    """phi(dT) = boundary(phi T) for every tree."""
+def chain_map(cases) -> CheckResult:
+    """phi(dT) = boundary(phi T) for every tree or forest term."""
     def offence(T):
-        S = fa.tree_sum(T)
+        F = fa.ForestTerm((T,)) if isinstance(T, fa.RDecoTree) else T
+        S = fa.forest_sum([(F, 1)])
         gap = phi(fa.d(S)) - boundary(phi(S))
         if not gap.is_zero():
-            return (f"phi(dT) - boundary(phi T) for T = {sz.tree_to_latex(T)} "
+            return (f"phi(dT) - boundary(phi T) for T = {sz.forest_term_to_latex(F)} "
                     f"is {sz.cycle_sum_to_latex(gap)}")
-    return _check("chain map", trees, offence)
+    return _check("chain map", cases, offence)
 
 
 def admissibility(terms) -> CheckResult:

@@ -18,16 +18,20 @@ every parameter has a colour of its own, as almost every term of the
 chain map does, the colour order is the renaming and one sort finishes
 the term; only tied colours start the search for the least relabeling.
 
-The value types ``Monomial``, ``Coordinate`` and ``CycleTerm`` are
-slotted frozen dataclasses that compute their hash once, at
-construction, so a term used as a dictionary key is hashed in constant
-time however deep it is; a term also keeps its parameter and
-topological-variable tuples once they have been asked for.  A ``Sym`` is
-a tuple whose hash, equality and order run in C, and whose first entry
-is its kind rank, which the hot loops test in place of the kind name.
-A monomial stores its (symbol, exponent) pairs in symbol order, so a
-product is one merge of two sorted runs and a power scales the
-exponents and keeps their order; no Python key function is called.
+The values below a term are plain tuples underneath, so they are built,
+hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
+entry is its kind rank, which the hot loops test in place of the kind
+name.  A ``Monomial`` is the tuple of its (symbol, exponent) pairs in
+symbol order, so a product is one merge of two sorted runs and a power
+scales the exponents and keeps their order; no Python key function is
+called.  A ``Coordinate`` is the tuple (q, one_minus), so coordinates
+sort by their exponent pairs and then by shape, which is the order of
+the canonical form.  ``normalize`` and the faces build both with
+``tuple.__new__`` and no Python ``__init__``.  A ``CycleTerm`` is a
+slotted frozen dataclass that computes its hash once, at construction,
+so a term used as a dictionary key is hashed in constant time however
+deep it is; it also keeps its parameter and topological-variable tuples
+once they have been asked for.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, not_
 from typing import Dict, Iterable, Optional, Tuple
 
 from .formal import FormalSum, perm_parity
@@ -55,78 +60,112 @@ class OutOfClassError(Exception):
     """Raised when an operation would leave the monomial coordinate class."""
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """Finitely supported exponent vector: (symbol, exponent) pairs with
-    nonzero exponents, in symbol order."""
+_new = tuple.__new__  # builds a Monomial or a Coordinate with no Python __init__
+_first = itemgetter(0)
 
-    exps: Tuple[Tuple[Sym, int], ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.exps))
+def _unsupported(self, other):
+    """Stands in for the tuple concatenation and repetition that a
+    monomial or a coordinate must not inherit."""
+    raise TypeError(f"unsupported operand types: {type(self).__name__!r} "
+                    f"and {type(other).__name__!r}")
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __reduce__(self):
-        return (Monomial, (self.exps,))
+class Monomial(tuple):
+    """Finitely supported exponent vector: the tuple of its (symbol,
+    exponent) pairs with nonzero exponents, in symbol order.
 
-    @property
-    def is_one(self) -> bool:
-        return not self.exps
+    Hash, equality and order are the tuple's and run in C.  The only
+    arithmetic is the monomial one: ``*`` by a monomial is the product,
+    and the sum and repetition that a tuple would offer raise TypeError.
+    ``is_one`` is the emptiness test.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, exps=()):
+        return _new(cls, exps)
+
+    def __getnewargs__(self):
+        return (tuple(self),)
+
+    exps = property(tuple)  # the pairs as a plain tuple
+    is_one = property(not_)
+    __add__ = __radd__ = __rmul__ = _unsupported
 
     def exp_of(self, sym: Sym) -> int:
-        for s, e in self.exps:
+        for s, e in self:
             if s == sym:
                 return e
         return 0
 
     def syms_of_kind(self, kind: str):
         rank = KIND_RANK[kind]
-        return [s for s, _ in self.exps if s[0] == rank]
+        return [s for s, _ in self if s[0] == rank]
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other.exps:
+        if not isinstance(other, Monomial):
+            _unsupported(self, other)
+        if other.is_one:
             return self
-        if not self.exps:
+        if self.is_one:
             return other
-        # sorted() merges the two sorted runs in C; a symbol of both
-        # factors comes out as two adjacent pairs, summed or dropped
-        out = []
-        for s, e in sorted(self.exps + other.exps):
-            if out and out[-1][0] == s:
-                e += out.pop()[1]
-                if not e:
-                    continue
-            out.append((s, e))
-        return Monomial(tuple(out))
+        return _product(list(self), other)
 
     def __pow__(self, k: int) -> "Monomial":
         if k == 1:
             return self
         if k == 0:
             return ONE
-        return Monomial(tuple((s, e * k) for s, e in self.exps))
+        return _new(Monomial, [(s, e * k) for s, e in self])
 
     def without(self, sym: Sym) -> "Monomial":
-        return Monomial(tuple(p for p in self.exps if p[0] != sym))
+        return _new(Monomial, [p for p in self if p[0] != sym])
 
     def substitute(self, sym: Sym, repl: "Monomial") -> "Monomial":
         e = self.exp_of(sym)
         if e == 0:
             return self
-        return self.without(sym) * (repl ** e)
+        return _product([p for p in self if p[0] != sym], repl ** e)
 
     def rename(self, mapping: Dict[Sym, Sym]) -> "Monomial":
         """Rename symbols by a mapping that is one-to-one on the symbols of
         this monomial (unmapped symbols stay); no exponents merge."""
-        return Monomial(tuple(sorted((mapping.get(s, s), e) for s, e in self.exps)))
+        return _new(Monomial, sorted([(mapping.get(s, s), e) for s, e in self]))
+
+    def __repr__(self) -> str:
+        return f"Monomial(exps={tuple(self)!r})"
 
     def __str__(self) -> str:
-        if not self.exps:
+        if self.is_one:
             return "1"
-        return "*".join(f"{s}^{e}" if e != 1 else str(s) for s, e in self.exps)
+        return "*".join(f"{s}^{e}" if e != 1 else str(s) for s, e in self)
+
+
+def _product(pairs: list, factor) -> Monomial:
+    """The monomial of the sorted pair run ``pairs`` times the sorted pair
+    run ``factor``; ``pairs`` is consumed.
+
+    One sort merges the two runs in C.  A symbol of both runs comes out
+    as two adjacent pairs, summed or dropped; when no symbol is shared,
+    which one set of the symbols tells, the merged run is the product.
+    """
+    pairs.extend(factor)
+    pairs.sort()
+    if len(set(map(_first, pairs))) == len(pairs):
+        return _new(Monomial, pairs)
+    out = []
+    last = None
+    for p in pairs:
+        s = p[0]
+        if s == last:
+            e = out.pop()[1] + p[1]
+            if e:
+                out.append((s, e))
+        else:
+            out.append(p)
+            last = s
+    return _new(Monomial, out)
 
 
 def monomial(exps) -> Monomial:
@@ -139,37 +178,37 @@ def monomial(exps) -> Monomial:
             acc[s] = acc.get(s, 0) + e
             if not acc[s]:
                 del acc[s]
-    return Monomial(tuple(sorted(acc.items())))
+    return _new(Monomial, sorted(acc.items()))
 
 
 ONE = Monomial()
 
 
-@dataclass(frozen=True, slots=True)
-class Coordinate:
-    """The function 1 - q when one_minus is set, else q itself."""
+class Coordinate(tuple):
+    """The function 1 - q when one_minus is set, else q itself: the tuple
+    (q, one_minus).  It hashes, compares and sorts in C, by the exponent
+    pairs of q first and then with 1 - q after q."""
 
-    q: Monomial
-    one_minus: bool = True
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.q, self.one_minus)))
+    def __new__(cls, q: Monomial, one_minus: bool = True):
+        return _new(cls, (q, one_minus))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        return tuple(self)
 
-    def __reduce__(self):
-        return (Coordinate, (self.q, self.one_minus))
-
-    def key(self) -> tuple:
-        return (self.q.exps, 1 if self.one_minus else 0)
+    q = property(itemgetter(0))
+    one_minus = property(itemgetter(1))
+    __add__ = __radd__ = __mul__ = __rmul__ = _unsupported
 
     def rename(self, mapping) -> "Coordinate":
-        return Coordinate(self.q.rename(mapping), self.one_minus)
+        return _new(Coordinate, (self[0].rename(mapping), self[1]))
+
+    def __repr__(self) -> str:
+        return f"Coordinate(q={self[0]!r}, one_minus={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"1-{self.q}" if self.one_minus else str(self.q)
+        return f"1-{self[0]}" if self[1] else str(self[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +232,7 @@ class CycleTerm:
         return len(self.coords)
 
     def _syms_of_rank(self, rank: int) -> tuple:
-        found = {s for c in self.coords for s, _ in c.q.exps if s[0] == rank}
+        found = {s for c in self.coords for s, _ in c[0] if s[0] == rank}
         return tuple(sorted(found))
 
     @property
@@ -288,8 +327,9 @@ def _parameters(k: int) -> list:
 
 
 def _keys(parts, new, names) -> list:
-    """Each coordinate's ``Coordinate.key`` after the renaming that gives
-    parameter position i the name ``names[new[i]]``."""
+    """Each coordinate as a plain (pairs, one_minus) tuple, which compares
+    as the coordinate does, after the renaming that gives parameter
+    position i the name ``names[new[i]]``."""
     return [(head + tuple(sorted([(names[new[i]], e) for i, e in pe])) + tail
              if pe else head, om)
             for head, pe, tail, om in parts]
@@ -322,11 +362,9 @@ def normalize(raw_coords: Iterable[Coordinate]):
         return None
     index: Dict[Sym, int] = {}  # parameter -> position, by first appearance
     occurrences, neighbours, parts = [], [], []
-    for c in coords:
-        exps = c.q.exps
-        if not exps:
+    for exps, om in coords:
+        if exps.is_one:
             return None
-        om = 1 if c.one_minus else 0
         n_const = 0
         pe = []
         for s, e in exps:
@@ -375,14 +413,15 @@ def normalize(raw_coords: Iterable[Coordinate]):
         if len(parities) == 2:
             return None
         sign = parities.pop()
-    # the winning keys spell the canonical coordinates; a coordinate that
-    # the renaming leaves as it was is reused
+    # the winning keys spell the canonical coordinates, built without a
+    # Python __init__; a coordinate that the renaming leaves as it was is
+    # reused
     out = []
     for i in order:
         c = coords[i]
-        q = keys[i][0]
-        if q != c.q.exps:
-            c = Coordinate(Monomial(q), c.one_minus)
+        q, om = keys[i]
+        if q != c[0]:
+            c = _new(Coordinate, (_new(Monomial, q), om))
         out.append(c)
     return CycleTerm(tuple(out)), sign
 
@@ -437,8 +476,10 @@ def _limit_outcome(coords, i, degen_sym, to_infinity):
     for jdx, c in enumerate(coords):
         if jdx == i:
             continue
-        f = c.q.exp_of(degen_sym)
-        if f == 0:
+        for s, f in c[0]:
+            if s == degen_sym:
+                break
+        else:
             new_coords.append(c)
             continue
         blows_up = (f > 0) == to_infinity
@@ -446,7 +487,7 @@ def _limit_outcome(coords, i, degen_sym, to_infinity):
             flags.append(f"coordinate {jdx + 1} -> constant infinity")
         else:
             # q -> 0
-            if c.one_minus:
+            if c[1]:
                 return _EMPTY_OUTCOME  # 1 - q -> 1, the removed point
             flags.append(f"coordinate {jdx + 1} -> constant 0")
     if flags:
@@ -458,9 +499,14 @@ def _limit_outcome(coords, i, degen_sym, to_infinity):
 
 
 def _zero_face_one_minus(coords, i):
-    """Solve q_i = 1 by eliminating one parameter of exponent +-1."""
-    q = coords[i].q
-    pivots = [s for s, e in q.exps if s[0] == RANK_PARAM and abs(e) == 1]
+    """Solve q_i = 1 by eliminating one parameter of exponent +-1.
+
+    The pivot p enters q_i as p^e, so p = r^-e for r the rest of q_i.
+    Every other coordinate that holds p^f has it replaced by r^(-e f) in
+    one merge (``_product``); r^(-e f) is built once per exponent f.
+    """
+    q = coords[i][0]
+    pivots = [s for s, e in q if s[0] == RANK_PARAM and (e == 1 or e == -1)]
     if not pivots:
         if q.syms_of_kind(KIND_PARAM):
             raise OutOfClassError(
@@ -474,21 +520,35 @@ def _zero_face_one_minus(coords, i):
         return _EMPTY_OUTCOME
     pivot = min(pivots)
     e = q.exp_of(pivot)
-    repl = q.without(pivot) ** (-e)
+    rest = [p for p in q if p[0] != pivot]
+    repls = {}  # f -> the pairs of r^(-e f)
     new_coords = []
     flags = []
     empty = False
     for jdx, c in enumerate(coords):
         if jdx == i:
             continue
-        q2 = c.q.substitute(pivot, repl)
+        q2 = c[0]
+        for k, (s, f) in enumerate(q2):
+            if s == pivot:
+                break
+        else:
+            new_coords.append(c)
+            continue
+        repl = repls.get(f)
+        if repl is None:
+            g = -e * f
+            repl = repls[f] = rest if g == 1 else [(s, x * g) for s, x in rest]
+        pairs = list(q2)
+        del pairs[k]
+        q2 = _product(pairs, repl)
         if q2.is_one:
-            if c.one_minus:
+            if c[1]:
                 flags.append(f"coordinate {jdx + 1} -> constant 0")
                 continue
             empty = True  # bare monomial pinned at the removed point 1
             break
-        new_coords.append(c if q2 is c.q else Coordinate(q2, c.one_minus))
+        new_coords.append(_new(Coordinate, (q2, c[1])))
     if empty:
         return _EMPTY_OUTCOME
     if flags:
@@ -502,7 +562,7 @@ def _zero_face_one_minus(coords, i):
 def _degeneration_directions(q: Monomial, want_infinity: bool):
     """Parameter degenerations u -> 0/inf driving q to 0 or infinity."""
     out = []
-    for s, e in q.exps:
+    for s, e in q:
         if s[0] != RANK_PARAM:
             continue
         to_inf = (e > 0) == want_infinity
@@ -514,10 +574,10 @@ def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
     """Face i (1-based) at eps in {0, inf} of a single term."""
     if not 1 <= i <= t.n:
         raise ValueError(f"face index {i} out of range")
-    c = t.coords[i - 1]
+    q, one_minus = t.coords[i - 1]
     at_zero = not (eps == INF or eps == "inf")
 
-    if c.one_minus:
+    if one_minus:
         if at_zero:
             return _zero_face_one_minus(t.coords, i - 1)
         want_infinity = True
@@ -526,9 +586,9 @@ def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
         # reached only through parameter degenerations
         want_infinity = not at_zero
 
-    degens = _degeneration_directions(c.q, want_infinity)
+    degens = _degeneration_directions(q, want_infinity)
     if not degens:
-        if not at_zero and any(e < 0 for s, e in c.q.exps if s[0] == RANK_TOP):
+        if not at_zero and any(e < 0 for s, e in q if s[0] == RANK_TOP):
             raise OutOfClassError(
                 f"coordinate {i} would need a topological variable at 0 to blow up")
         return _EMPTY_OUTCOME

@@ -28,7 +28,7 @@ from importlib import resources
 from typing import Dict
 
 from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, OutOfClassError,
-                            add_cycle, boundary, dimension, monomial)
+                            Monomial, add_cycle, boundary, dimension)
 from .serialize import cycle_sum_from_json
 from .symbols import KIND_PARAM, KIND_TOP, topological
 
@@ -45,15 +45,12 @@ def _check_contiguous(t: CycleTerm) -> int:
     return r
 
 
-def _subst_top(coords, old, new_exp_sym):
+def _subst_top(coords, old, new):
+    repl = Monomial(((new, 1),))
     out = []
     for c in coords:
-        e = c.q.exp_of(old)
-        if e:
-            q = c.q.without(old) * (monomial({new_exp_sym: 1}) ** e)
-            out.append(Coordinate(q, c.one_minus))
-        else:
-            out.append(c)
+        q = c.q.substitute(old, repl)
+        out.append(c if q is c.q else Coordinate(q, c.one_minus))
     return out
 
 

@@ -1,9 +1,13 @@
 """Shared builders for the test modules."""
 
+import itertools
+import random
+
 from forest_cycles import (Coordinate, CycleTerm, ForestTerm, Leaf, Node,
                            RDecoTree, deco, monomial)
 from forest_cycles.cycle_algebra import cycle_sum
-from forest_cycles.symbols import sym_from_name
+from forest_cycles.forest_algebra import edge_count
+from forest_cycles.symbols import UNIT, sym_from_name
 
 
 def lf(name):
@@ -54,3 +58,37 @@ def left_comb3():
 
 def right_comb3():
     return tr("1", nd(lf("x1"), nd(lf("x2"), lf("x3"))))
+
+
+def generic_tree(rng: random.Random, budget: int, names, max_children: int = 3) -> RDecoTree:
+    """Tree of at most ``budget`` edges whose leaves all carry fresh names
+    from ``names``; an internal vertex has 2..max_children children."""
+    def build(edges, stop):
+        # edges available to the subtree, counting the edge above it
+        if edges < 3 or rng.random() < stop:
+            return Leaf(deco(next(names)))
+        arity = rng.randint(2, min(max_children, edges - 1))
+        shares = [1] * arity
+        for _ in range(edges - 1 - arity):
+            shares[rng.randrange(arity)] += 1
+        return Node(tuple(build(s, 0.3) for s in shares))
+
+    root = UNIT if rng.random() < 0.5 else deco(next(names))
+    return RDecoTree(root, build(budget, 0.0))
+
+
+def generic_forest(rng: random.Random, max_edges: int, max_trees: int = 3,
+                   max_children: int = 4) -> ForestTerm:
+    """Forest of 1..max_trees generic trees with at most ``max_edges``
+    edges in all, every name fresh: no leaf repeats a root, so ``phi`` and
+    its boundary stay in the monomial class."""
+    names = (f"y{i}" for i in itertools.count(1))
+    trees = []
+    left = max_edges
+    for _ in range(rng.randint(1, max_trees)):
+        if left < 1:
+            break
+        T = generic_tree(rng, rng.randint(1, left), names, max_children)
+        trees.append(T)
+        left -= edge_count(T)
+    return ForestTerm(tuple(trees))

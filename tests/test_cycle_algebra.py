@@ -1,15 +1,17 @@
 import random
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forest_cycles import (OutOfClassError, boundary, checks, concat,
                            dimension, face, is_admissible, normalize, phi,
-                           standard_spec, tau)
+                           standard_spec, tau, tree_sum)
 from forest_cycles.cycle_algebra import (admissibility_violation, cycle_sum,
                                          face_outcome, unit_sum)
 from forest_cycles.formal import FormalSum, sort_with_parity
-from helpers import bare, csum, ct, om
+from helpers import bare, csum, ct, generic_tree, om
 
 
 def _ca(const="a"):
@@ -146,6 +148,17 @@ def test_concat_renames_clashing_parameters():
 
 def test_concat_boundary_derivation():
     res = checks.concat_leibniz([(csum((_ca("a"), 1)), csum((_ca("b"), 1)))])
+    assert res.passed, res.witness
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_concat_leibniz_on_generic_tree_images(rng):
+    # both factors use u1, u2, ...; concat renames the second apart
+    names = (f"y{i}" for i in count(1))
+    A, B = (phi(tree_sum(generic_tree(rng, rng.randint(1, 7), names, 4)))
+            for _ in range(2))
+    res = checks.concat_leibniz([(A, B)])
     assert res.passed, res.witness
 
 

@@ -1,10 +1,13 @@
 import logging
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from forest_cycles import (UNIT, Leaf, Node, RDecoTree, checks, d, deco, phi,
                            phi_tree, standard_spec, tau, tau_trees, tree_sum)
 from forest_cycles.forest_algebra import forest_sum
-from helpers import (csum, forest, left_comb3, lf, nd, om, right_comb3, tr,
-                     two_leaf_tree)
+from helpers import (csum, forest, generic_forest, left_comb3, lf, nd, om,
+                     right_comb3, tr, two_leaf_tree)
 
 
 def test_image_of_two_leaf_tree():
@@ -55,6 +58,18 @@ def test_chain_map_on_small_trees():
     res = checks.chain_map([two_leaf_tree(), left_comb3(), right_comb3()])
     assert res.passed, res.witness
     assert res.cases == 3
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_chain_map_and_boundary_squared_on_generic_forests(rng):
+    # 1-3 trees, valency up to 5, at most 14 edges, every name fresh: a
+    # leaf named as its root would take boundary(phi) out of the class
+    F = generic_forest(rng, 14)
+    res = checks.chain_map([F])
+    assert res.passed, res.witness
+    res = checks.boundary_squared([phi(forest_sum([(F, 1)]))])
+    assert res.passed, res.witness
 
 
 def test_images_of_tree_sum_terms_stay_distinct():

@@ -1,8 +1,10 @@
 """The value kernels against plain references: monomial arithmetic
-against exponent dicts, the symbol order against an explicit sort key,
-the tree order, edge count and leaf-edge contraction sign against the
-edge listing, the edge coordinates of ``phi`` against vertex values
-read along the edge listing, and pickling of every value type."""
+against exponent dicts, the symbol and coordinate orders against
+explicit sort keys, the tree order, edge count and leaf-edge contraction
+sign against the edge listing, the edge coordinates of ``phi`` against
+vertex values read along the edge listing, and pickling of every value
+type.  Monomials and coordinates are tuples underneath; the tuple
+operations that are not monomial arithmetic must not leak through."""
 
 import os
 import pickle
@@ -10,12 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forest_cycles
-from forest_cycles import (UNIT, Coordinate, CycleTerm, constant, deco, monomial,
-                           parameter)
+from forest_cycles import (UNIT, Coordinate, CycleTerm, Monomial, constant, deco,
+                           monomial, parameter)
 from forest_cycles import forest_algebra as fa
 from forest_cycles.checks import _random_tree
 from forest_cycles.cycle_algebra import ONE
@@ -92,6 +95,42 @@ def test_symbol_order_is_kind_rank_index_name(items):
     assert sorted(items) == sorted(items, key=_reference_sort_key)
 
 
+def test_only_monomial_arithmetic_is_defined():
+    a, u1 = constant("a"), parameter(1)
+    m = monomial({a: 1, u1: -1})
+    assert m * m == monomial({a: 2, u1: -2}) and type(m * m) is Monomial
+    assert m * ONE is m and ONE * m is m
+    c = Coordinate(m)
+    for v in (m, ONE, c):
+        for op in (lambda: v + v, lambda: v + (), lambda: () + v,
+                   lambda: v * 2, lambda: 2 * v, lambda: v * 0, lambda: v * (a,)):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError):
+        c * c
+    # is_one is the emptiness test; len and truthiness are the tuple's
+    assert ONE.is_one is True and Monomial().is_one is True and m.is_one is False
+    assert repr(Coordinate(monomial({a: 1}), False)) == (
+        "Coordinate(q=Monomial(exps=((Sym(kind='const', name='a', index=0), 1),)), "
+        "one_minus=False)")
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.tuples(exponent_dicts, st.booleans()), max_size=6))
+def test_coordinates_sort_by_exponent_pairs_then_shape(raw):
+    coords = [Coordinate(monomial(a), om) for a, om in raw]
+    assert all(c.q.exps == _reference_pairs(a) for c, (a, _) in zip(coords, raw))
+
+    def key(c):
+        return ([(_reference_sort_key(s), e) for s, e in c.q.exps], int(c.one_minus))
+
+    assert sorted(coords) == sorted(coords, key=key)
+    for x in coords:
+        for y in coords:
+            assert (x == y) == (key(x) == key(y))
+            assert (x == y) <= (hash(x) == hash(y))
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.lists(st.tuples(exponent_dicts, st.booleans()), max_size=4))
 def test_pickle_round_trip_keeps_equality_and_hash(raw):
@@ -102,7 +141,7 @@ def test_pickle_round_trip_keeps_equality_and_hash(raw):
     values = [s for a, _ in raw for s in a] + [c.q for c in coords] + list(coords) + [term]
     for v in values:
         back = pickle.loads(pickle.dumps(v))
-        assert back == v and hash(back) == hash(v)
+        assert back == v and hash(back) == hash(v) and type(back) is type(v)
     back = pickle.loads(pickle.dumps(term))
     assert back.params == term.params and back.top_syms == term.top_syms
     assert term.top_syms == tuple(sorted({s for a, _ in raw for s, e in a.items()

@@ -14,30 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forest_cycles
-from forest_cycles import (Coordinate, CycleTerm, Leaf, Node, RDecoTree,
-                           constant, deco, monomial, normalize, parameter,
-                           phi_tree)
+from forest_cycles import (Coordinate, CycleTerm, constant, monomial, normalize,
+                           parameter, phi_tree)
 from forest_cycles.forest_algebra import edge_count
 from forest_cycles.formal import perm_parity
-from forest_cycles.symbols import UNIT, sym_from_name
+from forest_cycles.symbols import sym_from_name
+from helpers import generic_tree
 
 MAX_EDGES = 14  # keeps every cell product below the relabeling cap
-
-
-def _generic_tree(rng: random.Random, budget: int, names) -> RDecoTree:
-    """Tree of at most ``budget`` edges whose leaves all carry fresh names."""
-    def build(edges, stop):
-        # edges available to the subtree, counting the edge above it
-        if edges < 3 or rng.random() < stop:
-            return Leaf(deco(next(names)))
-        arity = rng.randint(2, min(3, edges - 1))
-        shares = [1] * arity
-        for _ in range(edges - 1 - arity):
-            shares[rng.randrange(arity)] += 1
-        return Node(tuple(build(s, 0.3) for s in shares))
-
-    root = UNIT if rng.random() < 0.5 else deco(next(names))
-    return RDecoTree(root, build(budget, 0.0))
 
 
 def _raw_generic_image(rng: random.Random):
@@ -53,7 +37,7 @@ def _raw_image(rng: random.Random, max_edges: int, names):
     offset = 0
     left = max_edges
     while left >= 1 and (not coords or rng.random() < 0.4):
-        T = _generic_tree(rng, rng.randint((left + 1) // 2, left), names)
+        T = generic_tree(rng, rng.randint((left + 1) // 2, left), names)
         left -= edge_count(T)
         image = phi_tree(T)
         k = len(image.params)
@@ -120,6 +104,11 @@ def _parity(order) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _reference_key(c) -> tuple:
+    """The order of the canonical form: exponent pairs, then 1 - q after q."""
+    return (c.q.exps, int(c.one_minus))
+
+
 def _brute_force_normalize(coords):
     """The least sorted coordinate-key list over every relabeling u1..uk
     that gives lower colours lower indices, with the sign of its sort;
@@ -136,8 +125,8 @@ def _brute_force_normalize(coords):
                for (p, i), (q, j) in itertools.permutations(pairs, 2)):
             continue
         renamed = [c.rename({p: parameter(i) for p, i in pairs}) for c in coords]
-        order = sorted(range(len(coords)), key=lambda i: renamed[i].key())
-        key = [renamed[i].key() for i in order]
+        order = sorted(range(len(coords)), key=lambda i: _reference_key(renamed[i]))
+        key = [_reference_key(renamed[i]) for i in order]
         if best is None or key < best[0]:
             best = (key, tuple(renamed[i] for i in order), {_parity(order)})
         elif key == best[0]:

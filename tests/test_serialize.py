@@ -1,11 +1,17 @@
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import forest_cycles
-from forest_cycles import d, tree_sum
+from forest_cycles import Coordinate, D, boundary, d, load_fixture, phi, tree_sum
 from forest_cycles import serialize as sz
-from helpers import bare, csum, left_comb3, om, two_leaf_tree
+from forest_cycles.cycle_algebra import cycle_sum
+from forest_cycles.forest_algebra import forest_sum
+from helpers import bare, csum, generic_forest, left_comb3, om, two_leaf_tree
 
 
 def test_tree_json_round_trip():
@@ -35,13 +41,37 @@ def test_cycle_term_round_trip_with_plain_marker():
     assert sz.cycle_term_from_json(obj) == t
 
 
+def _json_round_trip(S):
+    return sz.cycle_sum_from_json(json.loads(json.dumps(sz.cycle_sum_to_json(S))))
+
+
 def test_cycle_sum_round_trip():
     S = csum(
         ([om(u1=-1), om(x1=-1, u1=1), om(x2=-1, u1=1)], 1),
         ([om(s1=1, x1=-1), om(s2=1, x2=-1)], -1),
     )
-    back = sz.cycle_sum_from_json(json.loads(json.dumps(sz.cycle_sum_to_json(S))))
-    assert back == S
+    assert _json_round_trip(S) == S
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_cycle_sum_json_round_trip_on_generic_images(rng):
+    S = phi(forest_sum([(generic_forest(rng, 14), 1)]))
+    # the same terms with some coordinates bare, under fractional
+    # coefficients, plus the boundary of the image
+    mixed = cycle_sum([([Coordinate(c.q, rng.random() < 0.7) for c in t.coords],
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for t, _ in S]
+                      + [(t.coords, c) for t, c in boundary(S)])
+    for Z in (S, mixed):
+        assert _json_round_trip(Z) == Z
+
+
+def test_cycle_sum_json_round_trip_on_bounding_differentials():
+    for name in ("double_log", "triple_log"):
+        chain, _, _ = load_fixture(name)
+        S = D(chain)
+        assert not S.is_zero()
+        assert _json_round_trip(S) == S
 
 
 def test_tree_latex():
