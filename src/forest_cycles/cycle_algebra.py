@@ -44,8 +44,7 @@ from operator import itemgetter, not_
 from typing import Dict, Iterable, Optional, Tuple
 
 from .formal import FormalSum, perm_parity
-from .symbols import (KIND_PARAM, KIND_RANK, KIND_TOP, RANK_CONST, RANK_PARAM,
-                      RANK_TOP, Sym, parameter)
+from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, Sym, parameter
 
 INF = math.inf
 
@@ -99,10 +98,6 @@ class Monomial(tuple):
                 return e
         return 0
 
-    def syms_of_kind(self, kind: str):
-        rank = KIND_RANK[kind]
-        return [s for s, _ in self if s[0] == rank]
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             _unsupported(self, other)
@@ -118,15 +113,6 @@ class Monomial(tuple):
         if k == 0:
             return ONE
         return _new(Monomial, [(s, e * k) for s, e in self])
-
-    def without(self, sym: Sym) -> "Monomial":
-        return _new(Monomial, [p for p in self if p[0] != sym])
-
-    def substitute(self, sym: Sym, repl: "Monomial") -> "Monomial":
-        e = self.exp_of(sym)
-        if e == 0:
-            return self
-        return _product([p for p in self if p[0] != sym], repl ** e)
 
     def rename(self, mapping: Dict[Sym, Sym]) -> "Monomial":
         """Rename symbols by a mapping that is one-to-one on the symbols of
@@ -358,8 +344,6 @@ def normalize(raw_coords: Iterable[Coordinate]):
     go through the search for the minimal key list.
     """
     coords = tuple(raw_coords)
-    if len(set(coords)) != len(coords):
-        return None
     index: Dict[Sym, int] = {}  # parameter -> position, by first appearance
     occurrences, neighbours, parts = [], [], []
     for exps, om in coords:
@@ -397,6 +381,9 @@ def normalize(raw_coords: Iterable[Coordinate]):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         sign = perm_parity(order)
     else:
+        # equal coordinates make the term zero, even past the search cap
+        if len(set(coords)) < len(coords):
+            return None
         cells = [[] for _ in range(n_colours)]
         for i, col in enumerate(colour):
             cells[col].append(i)
@@ -415,11 +402,15 @@ def normalize(raw_coords: Iterable[Coordinate]):
         sign = parities.pop()
     # the winning keys spell the canonical coordinates, built without a
     # Python __init__; a coordinate that the renaming leaves as it was is
-    # reused
+    # reused.  The renaming is a bijection, so equal coordinates, which
+    # make the term zero, are equal keys next to each other.
     out = []
+    last = None
     for i in order:
+        if keys[i] == last:
+            return None
         c = coords[i]
-        q, om = keys[i]
+        q, om = last = keys[i]
         if q != c[0]:
             c = _new(Coordinate, (_new(Monomial, q), om))
         out.append(c)
@@ -508,11 +499,10 @@ def _zero_face_one_minus(coords, i):
     q = coords[i][0]
     pivots = [s for s, e in q if s[0] == RANK_PARAM and (e == 1 or e == -1)]
     if not pivots:
-        if q.syms_of_kind(KIND_PARAM):
+        if any(s[0] == RANK_PARAM for s, _ in q):
             raise OutOfClassError(
                 f"zero-face of {coords[i]}: no parameter enters with exponent +-1")
-        tops = set(q.syms_of_kind(KIND_TOP))
-        if len(tops) >= 2:
+        if sum(s[0] == RANK_TOP for s, _ in q) >= 2:
             raise OutOfClassError(
                 f"zero-face of {coords[i]} relates two topological variables")
         # constants alone, or one topological variable against generic

@@ -4,7 +4,8 @@ A hybrid term is an ordinary cycle term whose monomials may also contain
 the ordered topological variables s1 <= ... <= sr in [0,1].  On top of
 the algebraic boundary it carries the simplex-boundary differential
 delta, the alternating sum over the restrictions s1 = 0, s_{k+1} = s_k
-and s_r = 1.
+and s_r = 1.  Past s1 = 0, which empties a term or leaves the class,
+each restriction is one symbol map on the monomials.
 
 Sign conventions, fixed once and verified by both shipped fixtures:
 
@@ -25,53 +26,31 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict
 
 from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, OutOfClassError,
-                            Monomial, add_cycle, boundary, dimension)
+                            add_cycle, boundary, dimension, monomial)
 from .serialize import cycle_sum_from_json
-from .symbols import KIND_PARAM, KIND_TOP, topological
+from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, topological
 
 
-def topological_dimension(t: CycleTerm) -> int:
-    return len(t.top_syms)
-
-
-def _check_contiguous(t: CycleTerm) -> int:
-    tops = t.top_syms
-    r = len(tops)
-    if [s.index for s in tops] != list(range(1, r + 1)):
-        raise ValueError(f"topological variables of {t} are not s1..s{r}")
-    return r
-
-
-def _subst_top(coords, old, new):
-    repl = Monomial(((new, 1),))
-    out = []
-    for c in coords:
-        q = c.q.substitute(old, repl)
-        out.append(c if q is c.q else Coordinate(q, c.one_minus))
-    return out
-
-
-def _drop_top(coords, sym):
-    # set the variable to 1 by erasing it
-    return [Coordinate(c.q.without(sym), c.one_minus) for c in coords]
-
-
-def _reindex_down(coords, start):
-    # s_j -> s_{j-1} for j >= start
-    out = coords
-    for j in range(start, max((s.index for c in coords for s in c.q.syms_of_kind(KIND_TOP)),
-                              default=0) + 1):
-        out = _subst_top(out, topological(j), topological(j - 1))
-    return out
+def _restriction(coords, k: int, r: int) -> list:
+    """The k-th restriction (1 <= k <= r) as one symbol map: s_j -> s_{j-1}
+    for j > k if k < r, else s_r -> 1; ``monomial`` adds merged exponents."""
+    if k < r:
+        image = {topological(j): topological(j - 1) for j in range(k + 1, r + 1)}
+    else:
+        image = {topological(r): None}
+    return [Coordinate(monomial([(s2, e) for s, e in q if (s2 := image.get(s, s))]),
+                       one_minus)
+            for q, one_minus in coords]
 
 
 def delta_term(t: CycleTerm) -> FormalSum:
     """The simplex-boundary fence of one term."""
     out = FormalSum()
-    r = _check_contiguous(t)
+    r = len(t.top_syms)
+    if [s.index for s in t.top_syms] != list(range(1, r + 1)):
+        raise ValueError(f"topological variables of {t} are not s1..s{r}")
     if r == 0:
         return out
     s1 = topological(1)
@@ -81,11 +60,8 @@ def delta_term(t: CycleTerm) -> FormalSum:
     for c in t.coords:
         if c.q.exp_of(s1) < 0:
             raise OutOfClassError(f"s1 -> 0 blows up coordinate {c}")
-    for k in range(1, r):
-        merged = _subst_top(t.coords, topological(k + 1), topological(k))
-        merged = _reindex_down(merged, k + 2)
-        add_cycle(out, merged, (-1) ** k)
-    add_cycle(out, _drop_top(t.coords, topological(r)), (-1) ** r)
+    for k in range(1, r + 1):
+        add_cycle(out, _restriction(t.coords, k, r), (-1) ** k)
     return out
 
 
@@ -107,8 +83,8 @@ def D(S: FormalSum) -> FormalSum:
 # negligible terms
 
 def has_constant_coordinate(t: CycleTerm) -> bool:
-    return any(not c.q.syms_of_kind(KIND_PARAM) and not c.q.syms_of_kind(KIND_TOP)
-               for c in t.coords)
+    # pairs are in symbol order: the last symbol has the highest kind rank
+    return any(not q or q[-1][0][0] == RANK_CONST for q, _ in t.coords)
 
 
 def is_topologically_decomposable(t: CycleTerm) -> bool:
@@ -125,33 +101,17 @@ def is_topologically_decomposable(t: CycleTerm) -> bool:
     n = t.n
     if n <= 1 or not t.top_syms:
         return False
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    owners: Dict[object, int] = {}
-    topful = []
-    for i, c in enumerate(t.coords):
-        for p in c.q.syms_of_kind(KIND_PARAM):
-            if p in owners:
-                union(owners[p], i)
-            else:
-                owners[p] = i
-        if c.q.syms_of_kind(KIND_TOP):
-            topful.append(i)
-    for i in topful[1:]:
-        union(topful[0], i)
-    roots = {find(i) for i in range(n)}
-    return len(roots) > 1
+    # links: the parameters, plus one token for any topological variable
+    links = [{s if s[0] == RANK_PARAM else RANK_TOP for s, _ in q if s[0] != RANK_CONST}
+             for q, _ in t.coords]
+    reached, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if j not in reached and links[i] & links[j]:
+                reached.add(j)
+                todo.append(j)
+    return len(reached) < n
 
 
 def is_negligible(t: CycleTerm) -> bool:

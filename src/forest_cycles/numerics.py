@@ -21,7 +21,7 @@ import numpy as np
 
 from .cycle_algebra import CycleTerm
 from .formal import FormalSum, perm_parity
-from .symbols import KIND_CONST, KIND_PARAM, KIND_TOP
+from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP
 
 
 # Building the integration matrix holds four n x n float64 arrays at its
@@ -30,13 +30,14 @@ from .symbols import KIND_CONST, KIND_PARAM, KIND_TOP
 INTEGRATION_MEMORY_BUDGET = 256 * 2 ** 20  # bytes
 MAX_QUADRATURE_ORDER = math.isqrt(INTEGRATION_MEMORY_BUDGET // (4 * 8)) // 2
 
+POLYDISC_MARGIN = 1e-6  # the series refuses an argument with |z| > 1 - margin
+
 
 @dataclass(frozen=True)
 class NumericContext:
     series_truncation: int = 400
     quadrature_order: int = 32
     tolerance: float = 1e-8
-    margin: float = 1e-6
 
     def __post_init__(self):
         if self.series_truncation < 1:
@@ -48,8 +49,8 @@ class NumericContext:
                 f"quadrature order {self.quadrature_order} exceeds "
                 f"{MAX_QUADRATURE_ORDER}, the limit of the "
                 f"{INTEGRATION_MEMORY_BUDGET >> 20} MB memory budget")
-        if self.tolerance <= 0 or self.margin <= 0:
-            raise ValueError("tolerance and margin must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
 
 
 DEFAULT_CTX = NumericContext()
@@ -74,7 +75,7 @@ def multiple_log_series(z: Sequence[complex], ctx: NumericContext = DEFAULT_CTX)
         raise ValueError("need at least one argument")
     K = ctx.series_truncation
     for v in zs:
-        if abs(v) > 1 - ctx.margin:
+        if abs(v) > 1 - POLYDISC_MARGIN:
             raise ValueError(f"|z| = {abs(v)} outside the polydisc guard")
     # tail bound: the first m-1 factors are bounded by Li1 of the moduli,
     # the last index beyond K contributes a geometric tail
@@ -204,14 +205,14 @@ def eval_topological_cycle(t: CycleTerm, assignment: Dict[str, float],
     for c in t.coords:
         if not c.one_minus:
             raise ValueError("unsupported coordinate shape: bare monomial")
-        if c.q.syms_of_kind(KIND_PARAM):
+        if any(s[0] == RANK_PARAM for s, _ in c.q):
             raise ValueError("term still contains algebraic parameters")
-        tops = [(s, e) for s, e in c.q.exps if s.kind == KIND_TOP]
+        tops = [(s, e) for s, e in c.q if s[0] == RANK_TOP]
         if len(tops) != 1 or tops[0][1] != 1:
             raise ValueError(f"unsupported coordinate shape: {c}")
         cval = 1.0
-        for s, e in c.q.exps:
-            if s.kind == KIND_CONST:
+        for s, e in c.q:
+            if s[0] == RANK_CONST:
                 if s.name not in assignment:
                     raise ValueError(f"no value assigned to constant {s.name}")
                 cval *= assignment[s.name] ** e
@@ -267,7 +268,7 @@ def check_diffLi(x: float, y: float, h: float = 1e-4,
     """Max residual of central finite differences of the series against
     the closed-form coefficients."""
     for v in (abs(x) + h, abs(y) + h):
-        if v > 1 - ctx.margin:
+        if v > 1 - POLYDISC_MARGIN:
             raise ValueError("perturbed point leaves the polydisc guard")
     fdx = (_li11(x + h, y, ctx) - _li11(x - h, y, ctx)) / (2 * h)
     fdy = (_li11(x, y + h, ctx) - _li11(x, y - h, ctx)) / (2 * h)

@@ -17,7 +17,7 @@ KIND_CONST = "const"
 KIND_PARAM = "param"
 KIND_TOP = "top"
 
-# a symbol's first entry; hot loops test it in place of the kind name
+# a symbol's first entry; every kind test reads it in place of the kind name
 RANK_CONST, RANK_PARAM, RANK_TOP = 0, 1, 2
 KIND_RANK = {KIND_CONST: RANK_CONST, KIND_PARAM: RANK_PARAM, KIND_TOP: RANK_TOP}
 

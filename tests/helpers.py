@@ -7,7 +7,8 @@ from forest_cycles import (Coordinate, CycleTerm, ForestTerm, Leaf, Node,
                            RDecoTree, deco, monomial)
 from forest_cycles.cycle_algebra import cycle_sum
 from forest_cycles.forest_algebra import edge_count
-from forest_cycles.symbols import UNIT, sym_from_name
+from forest_cycles.forest_cycling import _tree_coords
+from forest_cycles.symbols import UNIT, sym_from_name, topological
 
 
 def lf(name):
@@ -92,3 +93,17 @@ def generic_forest(rng: random.Random, max_edges: int, max_trees: int = 3,
         trees.append(T)
         left -= edge_count(T)
     return ForestTerm(tuple(trees))
+
+
+def hybrid_image(rng: random.Random, max_edges: int = 10):
+    """A hybrid sum with topological variables s1..sr: the ``phi`` image
+    of a generic forest of r = 1..3 trees, each rooted at the unit, with
+    s_k multiplied into the root-edge coordinate of tree k (the first
+    coordinate of the tree)."""
+    coords = []
+    next_param = 1
+    for k, T in enumerate(generic_forest(rng, max_edges).trees, start=1):
+        tc, next_param = _tree_coords(RDecoTree(UNIT, T.top), next_param)
+        tc[0] = Coordinate(tc[0].q * monomial({topological(k): 1}), True)
+        coords.extend(tc)
+    return cycle_sum([(coords, 1)])

@@ -27,6 +27,11 @@ def test_normalize_kills_unit_monomial_coordinate():
 def test_normalize_kills_equal_coordinates():
     assert normalize([om(a=1), om(a=1)]) is None
     assert csum(([om(a=1, u1=1), om(a=1, u1=1)], 1)).is_zero()
+    # zero also when the parameters tie past the relabeling search cap
+    eight = [om(**{f"u{i}": 1}) for i in range(1, 9)]
+    with pytest.raises(OutOfClassError):
+        normalize(eight + [om(a=1)])
+    assert normalize(eight + [om(a=1), om(a=1)]) is None
 
 
 def test_normalize_kills_orientation_reversing_symmetry():

@@ -1,13 +1,17 @@
-import pytest
+import random
 
-from forest_cycles import (D, checks, delta, is_negligible, load_fixture, phi,
-                           standard_spec, tau, topological_part,
-                           verify_bounding)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forest_cycles import (D, Coordinate, CycleTerm, OutOfClassError, checks,
+                           constant, delta, is_negligible, load_fixture,
+                           monomial, parameter, phi, standard_spec, tau,
+                           topological, topological_part, verify_bounding)
 from forest_cycles.formal import FormalSum
 from forest_cycles.hybrid import (delta_term, has_constant_coordinate,
-                                  is_topologically_decomposable,
-                                  topological_dimension)
-from helpers import csum, ct, om
+                                  is_topologically_decomposable)
+from helpers import csum, ct, hybrid_image, om
 
 
 def _eta1():
@@ -16,7 +20,7 @@ def _eta1():
 
 def test_topological_dimension_and_contiguity():
     (t, _), = _eta1().items()
-    assert topological_dimension(t) == 1
+    assert len(t.top_syms) == 1
     gap = ct(om(s2=1, x1=-1))
     with pytest.raises(ValueError):
         delta_term(gap)
@@ -67,6 +71,8 @@ def test_negligibility_cases():
     const = ct(om(x1=1, x2=-1), om(s1=1, x1=-1))
     assert has_constant_coordinate(const)
     assert is_negligible(const)
+    # a raw coordinate on the monomial 1 is constant too
+    assert has_constant_coordinate(ct(om(s1=1, x1=-1), om()))
 
     split = ct(om(s1=1, x1=-1), om(u1=1, x2=-1), om(u1=1, x3=-1))
     assert not has_constant_coordinate(split)
@@ -126,3 +132,99 @@ def test_topological_parts():
 def test_unknown_fixture_name():
     with pytest.raises(ValueError):
         load_fixture("nope")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_combined_differential_squares_to_zero_on_random_hybrid_images(rng):
+    S = hybrid_image(rng)
+    assert not S.is_zero()
+    assert D(D(S)).is_zero()
+
+
+def _random_hybrid_coords(rng: random.Random, r: int, n: int) -> list:
+    """n coordinates over constants a, b, parameters u1..u3 and s1..sr.
+    Every s_k occurs; s1 sometimes with a negative exponent, and some
+    coordinates hold s_k^e s_{k+1}^-e, which cancels when s_{k+1} merges
+    into s_k."""
+    syms = [constant("a"), constant("b")] + [parameter(i) for i in (1, 2, 3)]
+    exps = [{s: rng.randint(-2, 2) for s in rng.sample(syms, rng.randint(0, 3))}
+            for _ in range(n)]
+    for k in range(1, r + 1):
+        d = exps[rng.randrange(n)]
+        e = rng.choice((1, 1, 2, -1))
+        if k == 1 and rng.random() < 0.8:
+            e = abs(e)
+        d[topological(k)] = d.get(topological(k), 0) + e
+        if k < r and rng.random() < 0.3:
+            d[topological(k + 1)] = d.get(topological(k + 1), 0) - e
+    return [Coordinate(monomial(d), rng.random() < 0.8) for d in exps]
+
+
+def _reference_delta(coords) -> FormalSum:
+    """The fence restriction by restriction on exponent dicts."""
+    tops = sorted({s.index for c in coords for s, _ in c.q.exps if s.kind == "top"})
+    r = len(tops)
+    if tops != list(range(1, r + 1)):
+        raise ValueError("not s1..sr")
+    if any(dict(c.q.exps).get(topological(1), 0) < 0 for c in coords):
+        raise OutOfClassError("s1 -> 0")
+    entries = []
+    for k in range(1, r + 1):
+        face = []
+        for c in coords:
+            d = {}
+            for s, e in c.q.exps:
+                j = s.index
+                if s.kind == "top" and j > k:
+                    s = topological(j - 1)
+                elif s.kind == "top" and k == r == j:
+                    continue
+                d[s] = d.get(s, 0) + e
+            face.append(Coordinate(monomial({s: e for s, e in d.items() if e}),
+                                   c.one_minus))
+        entries.append((face, (-1) ** k))
+    return csum(*entries)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 4), st.integers(1, 5))
+def test_delta_term_matches_restriction_reference(rng, r, n):
+    coords = _random_hybrid_coords(rng, r, max(n, r))
+    t = CycleTerm(tuple(coords))
+    try:
+        want = _reference_delta(coords)
+    except (ValueError, OutOfClassError) as exc:
+        with pytest.raises(type(exc)):
+            delta_term(t)
+        return
+    assert delta_term(t) == want
+
+
+def _reference_decomposable(t: CycleTerm) -> bool:
+    """Some split of the coordinates into two nonempty blocks has no
+    shared parameter and topological variables on one side only."""
+    if not t.top_syms:
+        return False
+    params = [{s for s, _ in c.q.exps if s.kind == "param"} for c in t.coords]
+    tops = [any(s.kind == "top" for s, _ in c.q.exps) for c in t.coords]
+    n = t.n
+    for mask in range(1, 2 ** (n - 1)):  # the last coordinate is always in block B
+        a = [i for i in range(n) if mask >> i & 1]
+        b = [i for i in range(n) if not mask >> i & 1]
+        if (not any(params[i] & params[j] for i in a for j in b)
+                and not (any(tops[i] for i in a) and any(tops[j] for j in b))):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 7))
+def test_topological_decomposability_matches_brute_force(rng, n):
+    syms = ([constant("a")] + [parameter(i) for i in (1, 2, 3, 4)]
+            + [topological(1), topological(2)])
+    coords = [Coordinate(monomial({s: rng.choice((-1, 1))
+                                   for s in rng.sample(syms, rng.randint(1, 3))}))
+              for _ in range(n)]
+    t = CycleTerm(tuple(coords))
+    assert is_topologically_decomposable(t) == _reference_decomposable(t)

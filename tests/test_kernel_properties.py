@@ -78,17 +78,6 @@ def test_power_matches_dict_reference(a, k):
     assert m ** 0 == ONE
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(exponent_dicts, syms, exponent_dicts)
-def test_without_and_substitute_match_dict_reference(a, sym, repl):
-    m = monomial(a)
-    rest = {s: e for s, e in a.items() if s != sym}
-    assert m.without(sym).exps == _reference_pairs(rest)
-    e = a.get(sym, 0)
-    want = _times(rest, {s: f * e for s, f in repl.items()}) if e else a
-    assert m.substitute(sym, monomial(repl)).exps == _reference_pairs(want)
-
-
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.lists(syms, max_size=12))
 def test_symbol_order_is_kind_rank_index_name(items):

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forest_cycles
-from forest_cycles import Coordinate, D, boundary, d, load_fixture, phi, tree_sum
+from forest_cycles import (Coordinate, D, ForestTerm, boundary, checks, d,
+                           load_fixture, phi, tree_sum)
 from forest_cycles import serialize as sz
 from forest_cycles.cycle_algebra import cycle_sum
 from forest_cycles.forest_algebra import forest_sum
-from helpers import bare, csum, generic_forest, left_comb3, om, two_leaf_tree
+from helpers import (bare, csum, generic_forest, hybrid_image, left_comb3, om,
+                     two_leaf_tree)
 
 
 def test_tree_json_round_trip():
@@ -29,6 +31,19 @@ def test_tree_json_shape():
 
 def test_forest_sum_round_trip_keeps_coefficients():
     S = d(tree_sum(left_comb3()))
+    back = sz.forest_sum_from_json(json.loads(json.dumps(sz.forest_sum_to_json(S))))
+    assert back == S
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_forest_json_round_trip_on_random_forests(rng):
+    # both forests with sign -1, under fractional coefficients
+    forests = [ForestTerm(F.trees, -1)
+               for F in (checks.random_forest(rng), generic_forest(rng, 14))]
+    for F in forests:
+        assert sz.forest_term_from_json(json.loads(json.dumps(sz.forest_term_to_json(F)))) == F
+    S = forest_sum([(F, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for F in forests])
     back = sz.forest_sum_from_json(json.loads(json.dumps(sz.forest_sum_to_json(S))))
     assert back == S
 
@@ -63,6 +78,14 @@ def test_cycle_sum_json_round_trip_on_generic_images(rng):
                         Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for t, _ in S]
                       + [(t.coords, c) for t, c in boundary(S)])
     for Z in (S, mixed):
+        assert _json_round_trip(Z) == Z
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_cycle_sum_json_round_trip_on_random_hybrid_sums(rng):
+    S = hybrid_image(rng)
+    for Z in (S, D(S)):
         assert _json_round_trip(Z) == Z
 
 
