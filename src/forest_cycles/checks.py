@@ -21,7 +21,7 @@ from .cycle_algebra import admissibility_violation, boundary, concat
 from .forest_cycling import phi
 from .hybrid import load_fixture, topological_part, verify_bounding
 from .symbols import UNIT, deco
-from .tau import tau_reports
+from .tau import d_tau_closed_form, d_tau_parts
 
 
 @dataclass(frozen=True)
@@ -107,16 +107,21 @@ def star_leibniz(pairs) -> CheckResult:
 
 
 def tau_cancellation(specs) -> CheckResult:
-    """The internal-edge part of d(tau) vanishes, and from m = 3 on every
-    surviving term of d(tau) is a product of two trees."""
+    """d(tau) is its closed form: the internal-edge part vanishes and the
+    rest equals ``tau.d_tau_closed_form``, the tree-level linearized
+    coproduct of I(0; x1..xm; 1), whose terms are products of two trees.
+    The witness names m and the first differing forest in repr order."""
     def offence(spec):
-        rep, dec = tau_reports(spec)
-        if not rep.passed:
-            return f"m = {spec.m}: {rep.residual_terms} internal-edge results do not cancel"
-        if spec.m < 3:
-            return None
-        if not dec.all_two_trees:
-            return f"m = {spec.m}: terms of d(tau) by tree count {dec.counts}"
+        internal, rest = d_tau_parts(spec)
+        if not internal.is_zero():
+            return f"m = {spec.m}: {len(internal)} internal-edge results do not cancel"
+        closed = d_tau_closed_form(spec)
+        gap = rest - closed
+        if not gap.is_zero():
+            F = min(gap.terms(), key=repr)
+            return (f"m = {spec.m}: {sz.forest_term_to_latex(F)} has coefficient "
+                    f"{dict(rest).get(F, 0)} in d(tau) and "
+                    f"{dict(closed).get(F, 0)} in the closed form")
     return _check("tau cancellation", specs, offence)
 
 

@@ -50,9 +50,12 @@ def cmd_tau(ns) -> int:
 
 def cmd_phi(ns) -> int:
     if ns.tree_file:
-        with open(ns.tree_file) as fh:
-            T = sz.tree_from_json(json.load(fh))
-        S = fc.phi(fa.tree_sum(T))
+        try:
+            with open(ns.tree_file) as fh:
+                T = sz.tree_from_json(json.load(fh))
+            S = fc.phi(fa.tree_sum(T))
+        except RecursionError:
+            raise ValueError(f"{ns.tree_file}: tree nested too deeply") from None
     else:
         S = fc.phi(tau(_spec(ns)))
     if ns.fmt == "json":
@@ -157,7 +160,11 @@ _SUITES = {
 
 
 def cmd_verify(ns) -> int:
-    ns.xs = _floats(ns.xs)  # before any suite runs, so a bad --x prints nothing else
+    # before any suite runs, so bad input prints nothing else
+    for flag, value, least in (("--m", ns.m, 2), ("--count", ns.count, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    ns.xs = _floats(ns.xs)
     ok = True
     for name in list(_SUITES) if ns.suite == "all" else [ns.suite]:
         ok = _SUITES[name](ns) and ok

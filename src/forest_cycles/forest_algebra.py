@@ -120,8 +120,6 @@ class ForestTerm:
         return (ForestTerm, (self.trees, self.sign))
 
 
-EMPTY_FOREST = ForestTerm(())
-
 # the coefficients of single contractions, shared by every term of ``d``
 _ZERO = Fraction(0)
 _UNITS = {1: Fraction(1), -1: Fraction(-1)}
@@ -174,29 +172,21 @@ def _edge_index(tree: RDecoTree, path: tuple) -> int:
     return k
 
 
-def leaf_count(tree: RDecoTree) -> int:
-    n = 0
-    stack = [tree.top]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            n += 1
-        else:
-            stack.extend(node.children)
-    return n
-
-
 def external_decorations(tree: RDecoTree) -> list:
     """Root decoration plus leaf decorations, in planar order."""
     out = [tree.root_deco]
     stack = [tree.top]
     while stack:
-        node = stack.pop(0)
+        node = stack.pop()
         if isinstance(node, Leaf):
             out.append(node.deco)
         else:
-            stack = list(node.children) + stack
+            stack.extend(reversed(node.children))
     return out
+
+
+def leaf_count(tree: RDecoTree) -> int:
+    return len(external_decorations(tree)) - 1
 
 
 def edge_is_internal(tree: RDecoTree, path: tuple) -> bool:
@@ -213,8 +203,7 @@ def grade(F: ForestTerm) -> Tuple[int, int]:
 
 
 def is_generic_tree(T: RDecoTree) -> bool:
-    decos = external_decorations(T)
-    return len(decos) == len(set(decos))
+    return is_generic(ForestTerm((T,)))
 
 
 def is_generic(F: ForestTerm) -> bool:

@@ -42,9 +42,6 @@ class FormalSum:
     def terms(self):
         return list(self._terms.keys())
 
-    def coeff(self, term) -> Fraction:
-        return self._terms.get(term, _ZERO)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -100,9 +97,6 @@ class FormalSum:
             return "FormalSum(0)"
         parts = [f"{c}*{t!r}" for t, c in self._terms.items()]
         return "FormalSum(" + " + ".join(parts) + ")"
-
-
-_ZERO = Fraction(0)
 
 
 def perm_parity(perm) -> int:

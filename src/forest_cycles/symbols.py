@@ -92,9 +92,6 @@ class Sym(tuple):
     def __getnewargs__(self):
         return (self.kind, self.name, self.index)
 
-    def sort_key(self) -> "Sym":
-        return self
-
     def __repr__(self) -> str:
         return f"Sym(kind={self.kind!r}, name={self.name!r}, index={self.index!r})"
 

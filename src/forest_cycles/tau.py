@@ -1,20 +1,26 @@
-"""The multiple-logarithm tree sum and its combinatorial checks.
+"""The multiple-logarithm tree sum and its differential in closed form.
 
-tau(x1..xm) is the sum, all coefficients +1, of every trivalent planted
-plane tree whose leaves are decorated x1..xm left to right and whose root
-carries the unit decoration.  There are Catalan(m-1) such trees.
+tau(r; B) is the sum, all coefficients +1, of every trivalent planted
+plane tree whose leaves carry the block B left to right and whose root
+carries r; tau(x1..xm) = tau(1; x1..xm) has Catalan(m-1) trees.  The
+internal-edge contractions of d(tau) cancel, and with x_{m+1} the unit
+the rest is the tree-level linearized coproduct of Goncharov's
+I(0; x1..xm; 1), summed over the proper blocks B = x_i..x_j with C the
+other leaves:
+
+    d tau(1; x1..xm) = sum_B tau(1; C) tau(x_{j+1}; B)
+                             - [i > 1] tau(1; C) tau(x_{i-1}; B).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from operator import itemgetter
+from collections import Counter
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from .formal import FormalSum
 from .forest_algebra import (ForestTerm, Leaf, Node, RDecoTree, add_forest,
-                             d_contributions, edge_is_internal)
+                             d_contributions, edge_is_internal, forest_sum)
 from .symbols import UNIT, DecoSymbol, standard_decorations
 
 
@@ -51,104 +57,72 @@ def _binary_shapes(leaves):
     return shapes
 
 
+def block_trees(root: DecoSymbol, leaves) -> List[RDecoTree]:
+    """The trees of tau(root; leaves); one leaf gives one single-edge tree."""
+    return [RDecoTree(root, top) for top in _binary_shapes(tuple(leaves))]
+
+
 def tau_trees(spec: TauSpec) -> List[RDecoTree]:
     """All trivalent trees of the sum, in enumeration order."""
-    return [RDecoTree(UNIT, top) for top in _binary_shapes(spec.decorations)]
+    return block_trees(UNIT, spec.decorations)
 
 
 def tau(spec: TauSpec) -> FormalSum:
-    out = FormalSum()
+    return forest_sum((ForestTerm((T,)), 1) for T in tau_trees(spec))
+
+
+def d_tau_parts(spec: TauSpec) -> Tuple[FormalSum, FormalSum]:
+    """d(tau) as its internal-edge part and the rest, from one walk."""
+    internal, rest = FormalSum(), FormalSum()
     for T in tau_trees(spec):
-        add_forest(out, ForestTerm((T,)), 1)
+        for _, p, result, coeff in d_contributions(ForestTerm((T,))):
+            if result is not None:
+                (internal if edge_is_internal(T, p) else rest).add_term(result, coeff)
+    return internal, rest
+
+
+def d_tau_closed_form(spec: TauSpec) -> FormalSum:
+    """The block sum above; each tau(1; C) tau(1; B) comes only from the
+    block that ends at x_m."""
+    xs = spec.decorations + (UNIT,)
+    m = spec.m
+    out = FormalSum()
+    for i in range(m):
+        for j in range(i, m - (i == 0)):  # the proper blocks x_i..x_j
+            outer = block_trees(UNIT, xs[:i] + xs[j + 1:m])
+            for root, sign in [(xs[j + 1], 1)] + ([(xs[i - 1], -1)] if i else []):
+                for inner in block_trees(root, xs[i:j + 1]):
+                    for T in outer:
+                        add_forest(out, ForestTerm((T, inner)), sign)
     return out
-
-
-def _d_tau(spec: TauSpec):
-    """One walk over every contraction of every tree of tau: yields each
-    tree with its index and its contributions (edge, result, coeff), the
-    vanishing ones left out.  Both reports below read this walk."""
-    for idx, T in enumerate(tau_trees(spec)):
-        yield idx, T, [(p, result, coeff)
-                       for _, p, result, coeff in d_contributions(ForestTerm((T,)))
-                       if result is not None]
 
 
 @dataclass
 class CancellationReport:
     """Outcome of restricting the differential to internal-edge contractions."""
-
     m: int
     passed: bool
-    pairs: list = field(default_factory=list)  # (repr, [(tree_idx, edge, coeff)])
     residual_terms: int = 0
 
 
-def _cancellation_report(m: int, walk) -> CancellationReport:
-    groups: dict = {}
-    for idx, T, contribs in walk:
-        for p, result, coeff in contribs:
-            if edge_is_internal(T, p):
-                groups.setdefault(result, []).append((idx, p, coeff))
-    pairs = sorted(((repr(result), contribs) for result, contribs in groups.items()),
-                   key=itemgetter(0))
-    residual = sum(1 for _, contribs in pairs
-                   if sum((c for _, _, c in contribs), Fraction(0)))
-    return CancellationReport(m=m, passed=(residual == 0), pairs=pairs,
-                              residual_terms=residual)
-
-
 def check_internal_cancellation(spec: TauSpec) -> CancellationReport:
-    """The internal-edge part of d(tau) must vanish identically.
-
-    Groups the individual contraction contributions by their resulting
-    canonical forest; every group has to sum to zero.
-    """
-    return _cancellation_report(spec.m, _d_tau(spec))
+    """The internal-edge part of d(tau) must vanish identically."""
+    internal, _ = d_tau_parts(spec)
+    return CancellationReport(m=spec.m, passed=internal.is_zero(),
+                              residual_terms=len(internal))
 
 
 @dataclass
 class DecomposabilityReport:
-    """Tree counts of the surviving terms of d(tau)."""
-
+    """Tree counts of the terms of d(tau)."""
     m: int
     all_two_trees: bool
-    counts: dict = field(default_factory=dict)  # trees-per-term -> #terms
-    note: str = ""
-
-
-def _decomposability_report(m: int, walk) -> DecomposabilityReport:
-    # d(tau) summed as ``d`` sums it: tree by tree, each tree's terms first
-    dtau = FormalSum()
-    for _, _, contribs in walk:
-        dT = FormalSum()
-        for _, result, coeff in contribs:
-            dT.add_term(result, coeff)
-        for F, c in dT:
-            dtau.add_term(F, c)
-    counts: dict = {}
-    for F, _ in dtau:
-        k = len(F.trees)
-        counts[k] = counts.get(k, 0) + 1
-    all_two = set(counts) <= {2}
-    note = ""
-    if m == 2:
-        note = ("m=2: leaf-edge contractions at the single trivalent vertex "
-                "split into two components as well, so every surviving term "
-                "is a product of two trees")
-    return DecomposabilityReport(m=m, all_two_trees=all_two,
-                                 counts=counts, note=note)
+    counts: dict  # trees-per-term -> #terms
 
 
 def check_decomposable(spec: TauSpec) -> DecomposabilityReport:
-    """Every surviving term of d(tau) should be a product of exactly two
-    trees.  Reported, not asserted: callers decide how to treat m = 2,
-    where the statement is not part of the trivalent cancellation setup
-    (it does in fact hold there too)."""
-    return _decomposability_report(spec.m, _d_tau(spec))
-
-
-def tau_reports(spec: TauSpec):
-    """Both reports of ``spec`` from one walk over the contractions."""
-    walk = list(_d_tau(spec))
-    return (_cancellation_report(spec.m, walk),
-            _decomposability_report(spec.m, walk))
+    """Every term of d(tau) should be a product of exactly two trees."""
+    internal, rest = d_tau_parts(spec)
+    counts = dict(Counter(len(F.trees) for F, _ in rest + internal))
+    return DecomposabilityReport(m=spec.m, all_two_trees=set(counts) <= {2},
+                                 counts=counts)

@@ -1,8 +1,8 @@
-"""The benchmark's per-layer tracer still finds what it wraps.
+"""The benchmark still finds what it calls and what it wraps.
 
-``bench/tracing.py`` wraps package functions by module and name, so a
-rename in ``src/`` would otherwise only show up as a failing traced
-benchmark run.
+``bench/workloads.py`` calls the package and ``bench/tracing.py`` wraps
+package functions by module and name, so a rename in ``src/`` would
+otherwise only show up as a failing benchmark run.
 """
 
 import importlib.util
@@ -14,16 +14,18 @@ from forest_cycles import forest_algebra as fa  # the package imports every trac
 from helpers import left_comb3
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_wraps_every_traced_function():
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     homes = [(sys.modules[f"{tracing.PACKAGE}.{mod}"], name)
              for mod, name, _pre, _post in tracing.TRACED]
     originals = [getattr(mod, name) for mod, name in homes]
@@ -47,7 +49,7 @@ def test_tracer_wraps_every_traced_function():
 def test_tracer_sees_normalize_and_faces_under_the_chain_map():
     # a fast path inlined past these module globals would hide the two
     # layers from the per-layer benchmark
-    tracer = _load_tracing().Tracer()
+    tracer = _load_bench("tracing").Tracer()
     tracer.install()
     try:
         fc.boundary(fc.phi(fc.tree_sum(left_comb3())))
@@ -58,3 +60,12 @@ def test_tracer_sees_normalize_and_faces_under_the_chain_map():
     assert metrics["cycle_algebra.normalize.calls"][0] > 1
     # two faces per coordinate of the five-coordinate image
     assert metrics["cycle_algebra.face_outcome.calls"][0] == 10
+
+
+def test_forest_laws_workload_runs_one_full_pass(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # for its own imports of inputs and oracle
+    workload = _load_bench("workloads").WORKLOADS["forest-laws"](fc, 1)
+    workload.expect()
+    # each case runs before the generator is asked for the next
+    verdicts = [call() for _label, call in workload.cases()]
+    assert len(verdicts) == workload.case_count()

@@ -103,12 +103,28 @@ def test_missing_tree_file_is_usage_error(capsys):
     ["phi", "--decos", "a,a"],
     ["tau", "--decos", "a"],
     ["eval", "integral", "--x", "2", "--order", "100000000"],
+    ["verify", "chain-map", "--m", "1"],
+    ["verify", "d2", "--count", "-3"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # no suite ran, so none can report a pass
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_deeply_nested_tree_file_is_usage_error(tmp_path, capsys):
+    # written as text, since json.dump itself overflows at this depth
+    depth = 600
+    path = tmp_path / "deep.json"
+    path.write_text('{"root": "1", "node": '
+                    + "".join(f'{{"children": [{{"leaf": "x{i}"}}, ' for i in range(depth))
+                    + '{"leaf": "y"}' + "]}" * depth + "}")
+    assert main(["phi", "--tree", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
 
 
 @pytest.mark.parametrize("mode", ["integral", "compare"])

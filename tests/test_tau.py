@@ -1,31 +1,18 @@
-from collections import Counter
-
 import pytest
 
-from forest_cycles import (TauSpec, check_decomposable,
-                           check_internal_cancellation, d, deco, standard_spec,
-                           tau, tau_trees)
-from forest_cycles.forest_algebra import Leaf, Node, edge_count
-from forest_cycles.tau import tau_reports
+from forest_cycles import (UNIT, TauSpec, check_decomposable,
+                           check_internal_cancellation, checks, d, deco,
+                           standard_spec, tau, tau_trees)
+from forest_cycles import forest_algebra as fa
+from forest_cycles.forest_algebra import (Leaf, Node, RDecoTree, edge_count,
+                                          external_decorations)
+from forest_cycles.tau import block_trees, d_tau_closed_form, d_tau_parts
 from helpers import left_comb3, right_comb3
 
 
 CATALAN = {2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 132}
-
-
-def _is_full_binary(node):
-    if isinstance(node, Leaf):
-        return True
-    return len(node.children) == 2 and all(_is_full_binary(c) for c in node.children)
-
-
-def _leaves(node):
-    if isinstance(node, Leaf):
-        return [node.deco]
-    out = []
-    for c in node.children:
-        out.extend(_leaves(c))
-    return out
+# terms of d(tau), every one a product of two trees
+D_TAU_TERMS = {2: 3, 3: 8, 4: 25, 5: 84, 6: 294, 7: 1056, 8: 3861}
 
 
 @pytest.mark.parametrize("m", sorted(CATALAN))
@@ -37,9 +24,8 @@ def test_trees_are_trivalent_with_ordered_leaves():
     for m in (2, 3, 4, 5):
         spec = standard_spec(m)
         for T in tau_trees(spec):
-            assert T.root_deco.is_unit
-            assert _is_full_binary(T.top)
-            assert _leaves(T.top) == list(spec.decorations)
+            # m leaves and 2m - 1 edges: every internal vertex is trivalent
+            assert external_decorations(T) == [UNIT, *spec.decorations]
             assert edge_count(T) == 2 * m - 1
 
 
@@ -61,33 +47,52 @@ def test_spec_validation():
         TauSpec((deco("x1"), deco("1")))
 
 
+def test_block_trees_take_any_root_and_one_leaf():
+    a, x1, x2 = deco("a"), deco("x1"), deco("x2")
+    assert block_trees(a, [x1]) == [RDecoTree(a, Leaf(x1))]
+    assert block_trees(a, [x1, x2]) == [RDecoTree(a, Node((Leaf(x1), Leaf(x2))))]
+    assert block_trees(UNIT, standard_spec(4).decorations) == tau_trees(standard_spec(4))
+
+
 def test_internal_contributions_cancel():
-    for m in (2, 3, 4, 5):
+    for m in sorted(D_TAU_TERMS):
         rep = check_internal_cancellation(standard_spec(m))
         assert rep.passed
         assert not rep.residual_terms
-        if m >= 3:
-            assert len(rep.pairs) > 0
 
 
 def test_differential_splits_into_two_trees():
-    for m in (3, 4, 5):
+    for m, terms in D_TAU_TERMS.items():
         rep = check_decomposable(standard_spec(m))
         assert rep.all_two_trees
-        assert set(rep.counts) == {2}
+        assert rep.counts == {2: terms}
 
 
-def test_two_tree_report_for_smallest_case():
-    rep = check_decomposable(standard_spec(2))
-    assert rep.all_two_trees
-    assert rep.counts == {2: 3}
-    assert rep.note
-
-
-def test_one_walk_gives_both_reports():
-    for m in (2, 3, 4, 5):
+def test_d_tau_is_its_closed_form():
+    for m in sorted(D_TAU_TERMS):
         spec = standard_spec(m)
-        rep, dec = tau_reports(spec)
-        assert rep == check_internal_cancellation(spec)
-        assert dec == check_decomposable(spec)
-        assert dec.counts == dict(Counter(len(F.trees) for F, _ in d(tau(spec))))
+        internal, rest = d_tau_parts(spec)
+        assert internal.is_zero()
+        assert rest == d_tau_closed_form(spec)
+        assert rest == d(tau(spec))
+
+
+@pytest.mark.parametrize("change", [
+    lambda comps, sign: (comps, -sign),
+    lambda comps, sign: (comps[:1] + tuple(RDecoTree(UNIT, b.top) for b in comps[1:]), sign),
+], ids=["flipped_sign", "branches_at_unit"])
+def test_closed_form_catches_broken_leaf_contractions(change, monkeypatch):
+    # both leave the internal edges cancelling and every term of d(tau) a
+    # product of two trees; only the law itself sees them
+    real = fa.contract_components
+
+    def mutated(tree, path):
+        cut = real(tree, path)
+        if cut is None or not path or isinstance(fa.node_at(tree, path), Node):
+            return cut
+        return change(*cut)  # a leaf edge
+
+    monkeypatch.setattr(fa, "contract_components", mutated)
+    res = checks.tau_cancellation(standard_spec(m) for m in range(2, 6))
+    assert not res.passed
+    assert res.witness.startswith("case 0: m = 2: ")
