@@ -68,6 +68,15 @@ def test_differential_splits_into_two_trees():
         assert rep.counts == {2: terms}
 
 
+def test_two_tree_report_for_smallest_case():
+    # m = 2 has no internal edge: every term comes from a leaf edge or the
+    # root edge at the one trivalent vertex, and still has two trees
+    rep = check_decomposable(standard_spec(2))
+    assert rep.m == 2
+    assert rep.all_two_trees
+    assert rep.counts == {2: 3}
+
+
 def test_d_tau_is_its_closed_form():
     for m in sorted(D_TAU_TERMS):
         spec = standard_spec(m)
