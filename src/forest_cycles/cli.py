@@ -21,7 +21,7 @@ from . import numerics as nm
 from . import serialize as sz
 from .cycle_algebra import OutOfClassError
 from .symbols import deco
-from .tau import TauSpec, standard_spec, tau, tau_trees
+from .tau import TauSpec, check_tree_budget, standard_spec, tau, tau_trees
 
 
 def _spec(ns) -> TauSpec:
@@ -78,10 +78,6 @@ def _report(line: str, res: checks.CheckResult, note: str = "") -> bool:
     return res.passed
 
 
-def _specs(ns) -> list:
-    return [standard_spec(m) for m in range(2, ns.m + 1)]
-
-
 def _suite_d2(ns) -> bool:
     rng = random.Random(ns.seed)
     res = checks.d_squared([checks.random_forest(rng) for _ in range(ns.count)])
@@ -98,22 +94,22 @@ def _suite_leibniz(ns) -> bool:
 
 def _suite_del2(ns) -> bool:
     res = checks.boundary_squared(fc.phi(fa.tree_sum(T))
-                                  for spec in _specs(ns) for T in tau_trees(spec))
+                                  for spec in ns.specs for T in tau_trees(spec))
     return _report(f"boundary^2 = 0 on tree images up to m = {ns.m}", res)
 
 
 def _suite_chain_map(ns) -> bool:
-    res = checks.chain_map(T for spec in _specs(ns) for T in tau_trees(spec))
+    res = checks.chain_map(T for spec in ns.specs for T in tau_trees(spec))
     return _report(f"chain map on all tree-sum trees up to m = {ns.m}", res)
 
 
 def _suite_cancellation(ns) -> bool:
     return _report(f"internal cancellation and two-tree splitting up to m = {ns.m}",
-                   checks.tau_cancellation(_specs(ns)))
+                   checks.tau_cancellation(ns.specs))
 
 
 def _suite_admissibility(ns) -> bool:
-    res = checks.admissibility(t for spec in _specs(ns) for t, _ in fc.phi(tau(spec)))
+    res = checks.admissibility(t for spec in ns.specs for t, _ in fc.phi(tau(spec)))
     return _report(f"admissibility of tree images up to m = {ns.m}", res)
 
 
@@ -164,7 +160,9 @@ def cmd_verify(ns) -> int:
     for flag, value, least in (("--m", ns.m, 2), ("--count", ns.count, 1)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    check_tree_budget(ns.m)
     ns.xs = _floats(ns.xs)
+    ns.specs = [standard_spec(m) for m in range(2, ns.m + 1)]
     ok = True
     for name in list(_SUITES) if ns.suite == "all" else [ns.suite]:
         ok = _SUITES[name](ns) and ok

@@ -16,7 +16,7 @@ Topological variables are never renamed; their index order is data.
 by their occurrences and refines the colours to a fixed point.  When
 every parameter has a colour of its own, as almost every term of the
 chain map does, the colour order is the renaming and one sort finishes
-the term; only tied colours start the search for the least relabeling.
+the term; tied colours start an uncapped search for the least relabeling.
 
 The values below a term are plain tuples underneath, so they are built,
 hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
@@ -36,7 +36,6 @@ once they have been asked for.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,12 +46,6 @@ from .formal import FormalSum, perm_parity
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, Sym, parameter
 
 INF = math.inf
-
-# 7!: a relabeling search past it gives up.  Colours refined to a fixed
-# point split every parameter of a tree whose leaves carry distinct
-# names; a symmetric input, such as a root over eight identical copies
-# of one corolla (8! relabelings), still reaches the cap
-_ASSIGNMENT_CAP = 5040
 
 
 class OutOfClassError(Exception):
@@ -284,25 +277,6 @@ def _param_signatures(occurrences, neighbours):
     return colour, n
 
 
-def _cell_assignments(cells):
-    """Bijections from parameter positions to new indices 1..k, with
-    contiguous index blocks per cell in the given cell order.  Each is
-    yielded as one list, overwritten by the next."""
-    total = 1
-    for cell in cells:
-        total *= math.factorial(len(cell))
-        if total > _ASSIGNMENT_CAP:
-            raise OutOfClassError("parameter relabeling search too large")
-    new = [0] * sum(map(len, cells))
-    for perms in itertools.product(*[itertools.permutations(c) for c in cells]):
-        j = 1
-        for perm in perms:
-            for i in perm:
-                new[i] = j
-                j += 1
-        yield new
-
-
 _PARAMS = [None]  # _PARAMS[j] is parameter(j), grown on demand
 
 
@@ -321,15 +295,67 @@ def _keys(parts, new, names) -> list:
             for head, pe, tail, om in parts]
 
 
+def _least_relabeling(parts, colour, names):
+    """(keys, order, sign) of the least sorted key list over the
+    relabelings that number the parameters in colour order, or None when
+    the term has an odd automorphism.
+
+    A depth-first search hands out the indices in turn, each to a free
+    parameter of its colour.  Two leaves with the same key list differ by
+    an automorphism of the term, which is recorded; if their parities
+    differ, it is odd.  A candidate in the orbit of a tried sibling under
+    the recorded automorphisms that fix every placed position is skipped
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014).  This
+    stays exact: every leaf is the image of a visited leaf under the
+    recorded automorphisms, so the least list is met; and if these are
+    even, an odd automorphism maps the first leaf onto the image of a
+    visited leaf with its key list and the other parity, so comparing
+    the two records an odd one after all.
+    """
+    slots = [[i for i, c in enumerate(colour) if c == col] for col in sorted(colour)]
+    new, path, tried, autos = [0] * len(slots), [], [[]], []  # new[i] = 0: free
+    first = best = None
+    while True:
+        if len(path) < len(slots):
+            gens = [g for g in autos if all(g[p] == p for p in path)]
+            skip, size = set(tried[-1]), -1
+            while len(skip) > size:  # grown to the orbit of the tried siblings
+                size = len(skip)
+                skip |= {g[i] for g in gens for i in skip}
+            b = next((i for i in slots[len(path)] if not new[i] and i not in skip), None)
+            if b is not None:
+                new[b] = len(path) + 1
+                path.append(b)
+                tried.append([])
+                continue
+        else:
+            keys = _keys(parts, new, names)
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            leaf = ([keys[i] for i in order], perm_parity(order), path[:], keys, order)
+            first, best = first or leaf, best or leaf
+            for seen in (first,) if best is first else (first, best):
+                if leaf is not seen and leaf[0] == seen[0]:
+                    if leaf[1] != seen[1]:
+                        return None
+                    autos.append(dict(zip(seen[2], path)))  # maps seen's to this leaf's
+            if leaf[0] < best[0]:
+                best = leaf
+        if not path:
+            return best[3], best[4], best[1]
+        new[path[-1]] = 0
+        tried.pop()
+        tried[-1].append(path.pop())
+
+
 def normalize(raw_coords: Iterable[Coordinate]):
     """Canonical (CycleTerm, sign) of a raw coordinate list, or None.
 
     None means the term is zero.  That happens when a coordinate is the
     constant monomial 1 (the coordinate function either vanishes
     identically or sits at the removed point 1 of the cube) and when two
-    coordinates coincide; it also happens when the minimal parameter
-    relabeling is reached with both permutation parities, meaning the
-    term carries an orientation-reversing self-symmetry.
+    coordinates coincide; it also happens when the term has an odd
+    automorphism, a relabeling of its parameters that permutes its
+    coordinates oddly (an orientation-reversing self-symmetry).
 
     One walk over the coordinates splits each exponent tuple into its
     constants, its parameters and its topological variables (the symbol
@@ -341,7 +367,7 @@ def normalize(raw_coords: Iterable[Coordinate]):
     almost every term of the chain map, the colour order is the only
     assignment: one set of keys and one sort, and the term cannot be
     zero by symmetry, since a symmetry fixes every colour.  Tied cells
-    go through the search for the minimal key list.
+    go through ``_least_relabeling``, which has no cap and cannot raise.
     """
     coords = tuple(raw_coords)
     index: Dict[Sym, int] = {}  # parameter -> position, by first appearance
@@ -381,25 +407,10 @@ def normalize(raw_coords: Iterable[Coordinate]):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         sign = perm_parity(order)
     else:
-        # equal coordinates make the term zero, even past the search cap
-        if len(set(coords)) < len(coords):
+        found = _least_relabeling(parts, colour, names)
+        if found is None:
             return None
-        cells = [[] for _ in range(n_colours)]
-        for i, col in enumerate(colour):
-            cells[col].append(i)
-        best_key = None
-        for cand in _cell_assignments(cells):
-            cand_keys = _keys(parts, cand, names)
-            cand_order = sorted(range(len(cand_keys)), key=cand_keys.__getitem__)
-            key = [cand_keys[i] for i in cand_order]
-            if best_key is None or key < best_key:
-                best_key, keys, order = key, cand_keys, cand_order
-                parities = {perm_parity(cand_order)}
-            elif key == best_key:
-                parities.add(perm_parity(cand_order))
-        if len(parities) == 2:
-            return None
-        sign = parities.pop()
+        keys, order, sign = found
     # the winning keys spell the canonical coordinates, built without a
     # Python __init__; a coordinate that the renaming leaves as it was is
     # reused.  The renaming is a bijection, so equal coordinates, which
@@ -549,17 +560,6 @@ def _zero_face_one_minus(coords, i):
     return FaceOutcome((res,), ())
 
 
-def _degeneration_directions(q: Monomial, want_infinity: bool):
-    """Parameter degenerations u -> 0/inf driving q to 0 or infinity."""
-    out = []
-    for s, e in q:
-        if s[0] != RANK_PARAM:
-            continue
-        to_inf = (e > 0) == want_infinity
-        out.append((s, to_inf))
-    return out
-
-
 def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
     """Face i (1-based) at eps in {0, inf} of a single term."""
     if not 1 <= i <= t.n:
@@ -576,7 +576,8 @@ def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
         # reached only through parameter degenerations
         want_infinity = not at_zero
 
-    degens = _degeneration_directions(q, want_infinity)
+    # the parameter degenerations u -> 0 or inf that drive q to 0 or infinity
+    degens = [(s, (e > 0) == want_infinity) for s, e in q if s[0] == RANK_PARAM]
     if not degens:
         if not at_zero and any(e < 0 for s, e in q if s[0] == RANK_TOP):
             raise OutOfClassError(

@@ -54,13 +54,14 @@ def forest_term_from_json(obj) -> ForestTerm:
                       int(obj.get("sign", 1)))
 
 
+def _sum_to_json(S: FormalSum, term_key, term_to_json) -> list:
+    """The terms of S in ``term_key`` order, each with a "coeff" string."""
+    return [dict(term_to_json(t), coeff=str(c))
+            for t, c in sorted(S, key=lambda tc: term_key(tc[0]))]
+
+
 def forest_sum_to_json(S: FormalSum) -> list:
-    out = []
-    for F, c in sorted(S, key=lambda fc: repr(fc[0])):
-        entry = forest_term_to_json(F)
-        entry["coeff"] = str(c)
-        out.append(entry)
-    return out
+    return _sum_to_json(S, repr, forest_term_to_json)
 
 
 def forest_sum_from_json(entries) -> FormalSum:
@@ -71,13 +72,8 @@ def forest_sum_from_json(entries) -> FormalSum:
 
 
 def cycle_term_to_json(t: CycleTerm) -> dict:
-    coords = []
-    plain = []
-    for i, c in enumerate(t.coords, start=1):
-        coords.append({s.name: e for s, e in c.q.exps})
-        if not c.one_minus:
-            plain.append(i)
-    obj = {"coords": coords}
+    obj = {"coords": [{s.name: e for s, e in c.q.exps} for c in t.coords]}
+    plain = [i for i, c in enumerate(t.coords, start=1) if not c.one_minus]
     if plain:
         obj["plain"] = plain
     return obj
@@ -93,12 +89,7 @@ def cycle_term_from_json(obj) -> CycleTerm:
 
 
 def cycle_sum_to_json(S: FormalSum) -> list:
-    out = []
-    for t, c in sorted(S, key=lambda tc: str(tc[0])):
-        entry = cycle_term_to_json(t)
-        entry["coeff"] = str(c)
-        out.append(entry)
-    return out
+    return _sum_to_json(S, str, cycle_term_to_json)
 
 
 def cycle_sum_from_json(entries) -> FormalSum:
@@ -152,14 +143,17 @@ def _coeff_prefix(c: Fraction) -> str:
     return ("+" if c > 0 else "-") + str(abs(c)) + r"\,"
 
 
-def cycle_sum_to_latex(S: FormalSum) -> str:
+def _sum_to_latex(S: FormalSum, term_key, term_to_latex) -> str:
+    """The terms of S in ``term_key`` order, each after its coefficient."""
     if S.is_zero():
         return "0"
-    parts = []
-    for t, c in sorted(S, key=lambda tc: str(tc[0])):
-        parts.append(_coeff_prefix(c) + cycle_term_to_latex(t))
-    text = " ".join(parts)
+    text = " ".join(_coeff_prefix(c) + term_to_latex(t)
+                    for t, c in sorted(S, key=lambda tc: term_key(tc[0])))
     return text[1:] if text.startswith("+") else text
+
+
+def cycle_sum_to_latex(S: FormalSum) -> str:
+    return _sum_to_latex(S, str, cycle_term_to_latex)
 
 
 def _node_to_latex(node) -> str:
@@ -181,10 +175,4 @@ def forest_term_to_latex(F: ForestTerm) -> str:
 
 
 def forest_sum_to_latex(S: FormalSum) -> str:
-    if S.is_zero():
-        return "0"
-    parts = []
-    for F, c in sorted(S, key=lambda fc: repr(fc[0])):
-        parts.append(_coeff_prefix(c) + forest_term_to_latex(F))
-    text = " ".join(parts)
-    return text[1:] if text.startswith("+") else text
+    return _sum_to_latex(S, repr, forest_term_to_latex)

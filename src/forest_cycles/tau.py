@@ -23,6 +23,17 @@ from .forest_algebra import (ForestTerm, Leaf, Node, RDecoTree, add_forest,
                              d_contributions, edge_is_internal, forest_sum)
 from .symbols import UNIT, DecoSymbol, standard_decorations
 
+MAX_TREES = 250_000  # per sum: m = 13 (208,012 trees) is the largest m within it
+
+
+def check_tree_budget(m: int) -> None:
+    """Refuse m decorations whose Catalan(m - 1) trees exceed MAX_TREES."""
+    trees = 1
+    for n in range(1, m):  # trees = Catalan(n)
+        trees = trees * (4 * n - 2) // (n + 1)
+        if trees > MAX_TREES:
+            raise ValueError(f"tau over {m} decorations has more than {MAX_TREES} trees")
+
 
 @dataclass(frozen=True)
 class TauSpec:
@@ -35,6 +46,7 @@ class TauSpec:
             raise ValueError("decorations must be pairwise distinct")
         if any(x.is_unit for x in self.decorations):
             raise ValueError("decorations must differ from the unit")
+        check_tree_budget(self.m)
 
     @property
     def m(self) -> int:
@@ -43,6 +55,7 @@ class TauSpec:
 
 def standard_spec(m: int) -> TauSpec:
     """The spec on the leaf decorations x1..xm."""
+    check_tree_budget(m)
     return TauSpec(standard_decorations(m)[1])
 
 

@@ -1,9 +1,12 @@
+import importlib
 import json
 
 import pytest
 
 from forest_cycles import numerics
 from forest_cycles.cli import main
+
+tau_module = importlib.import_module("forest_cycles.tau")  # not the tau function
 
 
 def test_tau_text_output(capsys):
@@ -38,6 +41,17 @@ def test_phi_from_tree_file(tmp_path, capsys):
     assert main(["phi", "--tree", str(path), "--format", "json"]) == 0
     entries = json.loads(capsys.readouterr().out)
     assert entries[0]["coeff"] == "1"
+
+
+def test_phi_maps_a_root_over_eight_identical_corollas(tmp_path, capsys):
+    # 8! relabelings of one tied cell, searched with the swaps of the copies
+    corolla = {"children": [{"leaf": n} for n in "xyz"]}
+    path = tmp_path / "corollas.json"
+    path.write_text(json.dumps({"root": "1", "node": {"children": [corolla] * 8}}))
+    assert main(["phi", "--tree", str(path)]) == 0
+    coords = ([f"1-{n}^-1*u{i}" for n in "xyz" for i in range(1, 9)]
+              + [f"1-u{i}^-1*u9" for i in range(1, 9)] + ["1-u9^-1"])
+    assert capsys.readouterr() == ("1 * [" + ", ".join(coords) + "]\n", "")
 
 
 def test_verify_suite_pass(capsys):
@@ -112,6 +126,21 @@ def test_bad_input_is_usage_error(argv, capsys):
     assert out == ""  # no suite ran, so none can report a pass
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, m", [
+    (["tau", "--m", "40"], 40),
+    (["phi", "--m", "14", "--format", "json"], 14),
+    (["tau", "--decos", ",".join(f"a{i}" for i in range(14))], 14),
+    (["verify", "all", "--m", "40"], 40),
+])
+def test_tree_count_over_budget_is_refused_before_any_tree(argv, m, monkeypatch, capsys):
+    def no_trees(leaves):
+        raise AssertionError("a tree was built")
+    monkeypatch.setattr(tau_module, "_binary_shapes", no_trees)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: tau over {m} decorations has more than {tau_module.MAX_TREES} trees\n")
 
 
 def test_deeply_nested_tree_file_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import logging
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,12 +97,23 @@ def _generic_binary_tree(depth: int) -> RDecoTree:
 
 
 def test_depth_seven_generic_binary_tree_maps_and_commutes():
-    # two refinement rounds leave cells of 2, 4 and 8 parameters here
-    # (2!4!8! relabelings, past the 7! cap); the fixed point gives every
-    # parameter a colour of its own
+    # two refinement rounds leave cells of 2, 4 and 8 parameters here;
+    # the fixed point gives every parameter a colour of its own
     T = _generic_binary_tree(7)
     (t, c), = phi(tree_sum(T)).items()
     assert c in (1, -1)
     assert t.n == 255 and len(t.params) == 127
+    res = checks.chain_map([T])
+    assert res.passed, res.witness
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_root_over_identical_corollas_maps_and_commutes(k):
+    # one cell of k tied parameters (k! relabelings), which the search
+    # prunes with the swaps of the copies that it finds
+    T = tr("1", nd(*[nd(lf("x"), lf("y"), lf("z")) for _ in range(k)]))
+    (t, c), = phi(tree_sum(T)).items()
+    assert c in (1, -1)
+    assert t.n == 4 * k + 1 and len(t.params) == k + 1
     res = checks.chain_map([T])
     assert res.passed, res.witness

@@ -21,18 +21,20 @@ from forest_cycles.formal import perm_parity
 from forest_cycles.symbols import sym_from_name
 from helpers import generic_tree
 
-MAX_EDGES = 14  # keeps every cell product below the relabeling cap
+MAX_EDGES = 24
 
 
-def _raw_generic_image(rng: random.Random):
-    """Raw coordinates of phi on a random generic forest, each tree's
-    parameters in a block of its own, as ``phi`` numbers them."""
-    return _raw_image(rng, MAX_EDGES, (f"y{i}" for i in range(1, 10 * MAX_EDGES)))
+def _names(repeat: bool):
+    """Leaf and root names: fresh ones, or a pool of three, which gives
+    tied colours and zero terms."""
+    return (itertools.cycle(["y1", "y2", "y3"]) if repeat
+            else (f"y{i}" for i in itertools.count(1)))
 
 
 def _raw_image(rng: random.Random, max_edges: int, names):
-    """``_raw_generic_image`` for at most ``max_edges`` edges, with the
-    leaf and root names drawn from ``names``."""
+    """Raw coordinates of phi on a random forest of at most ``max_edges``
+    edges, with the leaf and root names drawn from ``names`` and each
+    tree's parameters in a block of its own, as ``phi`` numbers them."""
     coords = []
     offset = 0
     left = max_edges
@@ -44,6 +46,46 @@ def _raw_image(rng: random.Random, max_edges: int, names):
         shift = {parameter(i): parameter(offset + i) for i in range(1, k + 1)}
         coords.extend(c.rename(shift) for c in image.coords)
         offset += k
+    return coords
+
+
+def _raw_copies(rng: random.Random):
+    """Raw coordinates of two or three copies of one small ``phi_tree``
+    image, with the same leaf names and disjoint parameters, at most six
+    in all; sometimes one more coordinate links a parameter of one copy
+    to a constant, which splits that copy off from the others."""
+    copies = rng.choice((2, 3))
+    # an internal vertex has at least two children, so a tree of at most
+    # 7 (5) edges has at most 3 (2) parameters
+    image = phi_tree(generic_tree(rng, rng.randint(1, 11 - 2 * copies), _names(False)))
+    k = len(image.params)
+    coords = []
+    for copy in range(copies):
+        shift = {parameter(i): parameter(copy * k + i) for i in range(1, k + 1)}
+        coords.extend(c.rename(shift) for c in image.coords)
+    if k and rng.random() < 0.5:
+        link = {parameter(rng.randint(1, copies * k)): rng.choice((1, -1)),
+                constant("a"): 1}
+        coords.append(Coordinate(monomial(link), rng.random() < 0.5))
+    return coords
+
+
+def _raw_rings(rng: random.Random):
+    """Raw coordinates 1 - u_i/u_j around one directed ring of parameters
+    or two copies of one, at most six parameters in all: terms that are
+    not tree images, whose rotations and swaps are automorphisms.  Two
+    rings of three catch a search that prunes with automorphisms that
+    move the parameters already placed."""
+    copies = rng.choice((1, 2))
+    size = rng.randint(2, 6 // copies)
+    coords = []
+    for offset in range(0, copies * size, size):
+        ring = [parameter(offset + i) for i in range(1, size + 1)]
+        coords.extend(Coordinate(monomial({a: 1, b: -1}))
+                      for a, b in zip(ring, ring[1:] + ring[:1]))
+    if rng.random() < 0.5:
+        coords.append(Coordinate(monomial({parameter(rng.randint(1, copies * size)): 1,
+                                           constant("a"): 1})))
     return coords
 
 
@@ -59,10 +101,10 @@ def _relabeled_and_shuffled(rng: random.Random, raw):
     return [raw[j].rename(relabel) for j in perm], perm
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(st.randoms(use_true_random=False))
-def test_normalize_invariant_under_relabeling_and_permutation(rng):
-    raw = _raw_generic_image(rng)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_normalize_invariant_under_relabeling_and_permutation(rng, repeat_names):
+    raw = _raw_image(rng, MAX_EDGES, _names(repeat_names))
     moved, perm = _relabeled_and_shuffled(rng, raw)
 
     want = normalize(raw)
@@ -135,14 +177,18 @@ def _brute_force_normalize(coords):
     return None if len(parities) == 2 else (CycleTerm(term), parities.pop())
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.randoms(use_true_random=False), st.booleans())
-def test_normalize_is_the_least_key_over_colour_ordered_relabelings(rng, repeat_names):
-    # at most 11 edges keep k <= 5 parameters, so all k! relabelings are
-    # tried; names from a pool of three give tied colours and zero terms
-    names = (itertools.cycle(["y1", "y2", "y3"]) if repeat_names
-             else (f"y{i}" for i in itertools.count(1)))
-    raw, _ = _relabeled_and_shuffled(rng, _raw_image(rng, 11, names))
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(("fresh", "pool", "copies", "rings")))
+def test_normalize_is_the_least_key_over_colour_ordered_relabelings(rng, inputs):
+    # at most 11 edges keep k <= 5 parameters, and the copies and rings
+    # keep k <= 6, so all k! relabelings are tried; the copies and rings
+    # tie whole cells
+    if inputs in ("fresh", "pool"):
+        raw = _raw_image(rng, 11, _names(inputs == "pool"))
+    else:
+        raw = _raw_copies(rng) if inputs == "copies" else _raw_rings(rng)
+    raw, _ = _relabeled_and_shuffled(rng, raw)
     assert normalize(raw) == _brute_force_normalize(raw)
 
 

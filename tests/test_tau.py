@@ -6,7 +6,8 @@ from forest_cycles import (UNIT, TauSpec, check_decomposable,
 from forest_cycles import forest_algebra as fa
 from forest_cycles.forest_algebra import (Leaf, Node, RDecoTree, edge_count,
                                           external_decorations)
-from forest_cycles.tau import block_trees, d_tau_closed_form, d_tau_parts
+from forest_cycles.tau import (block_trees, check_tree_budget, d_tau_closed_form,
+                               d_tau_parts)
 from helpers import left_comb3, right_comb3
 
 
@@ -45,6 +46,13 @@ def test_spec_validation():
         TauSpec((deco("x1"), deco("x1")))
     with pytest.raises(ValueError):
         TauSpec((deco("x1"), deco("1")))
+
+
+def test_tree_budget_admits_m_13_and_refuses_m_14():
+    check_tree_budget(13)  # Catalan(12) = 208,012 trees
+    for m in (14, 10 ** 9):  # Catalan(13) = 742,900; no decorations are built
+        with pytest.raises(ValueError, match=f"tau over {m} decorations has more than"):
+            standard_spec(m)
 
 
 def test_block_trees_take_any_root_and_one_leaf():
