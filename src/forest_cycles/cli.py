@@ -21,7 +21,7 @@ from . import numerics as nm
 from . import serialize as sz
 from .cycle_algebra import OutOfClassError
 from .symbols import deco
-from .tau import TauSpec, check_tree_budget, standard_spec, tau, tau_trees
+from .tau import TauSpec, standard_spec, tau, tau_trees
 
 
 def _spec(ns) -> TauSpec:
@@ -160,7 +160,6 @@ def cmd_verify(ns) -> int:
     for flag, value, least in (("--m", ns.m, 2), ("--count", ns.count, 1)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
-    check_tree_budget(ns.m)
     ns.xs = _floats(ns.xs)
     ns.specs = [standard_spec(m) for m in range(2, ns.m + 1)]
     ok = True

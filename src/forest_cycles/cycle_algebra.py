@@ -16,7 +16,7 @@ Topological variables are never renamed; their index order is data.
 by their occurrences and refines the colours to a fixed point.  When
 every parameter has a colour of its own, as almost every term of the
 chain map does, the colour order is the renaming and one sort finishes
-the term; tied colours start an uncapped search for the least relabeling.
+the term; only tied colours start the search for the least relabeling.
 
 The values below a term are plain tuples underneath, so they are built,
 hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
@@ -46,6 +46,8 @@ from .formal import FormalSum, perm_parity
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, Sym, parameter
 
 INF = math.inf
+
+_SEARCH_CAP = 400_000  # coordinate keys the relabeling search may build
 
 
 class OutOfClassError(Exception):
@@ -300,51 +302,109 @@ def _least_relabeling(parts, colour, names):
     relabelings that number the parameters in colour order, or None when
     the term has an odd automorphism.
 
-    A depth-first search hands out the indices in turn, each to a free
-    parameter of its colour.  Two leaves with the same key list differ by
-    an automorphism of the term, which is recorded; if their parities
-    differ, it is odd.  A candidate in the orbit of a tried sibling under
-    the recorded automorphisms that fix every placed position is skipped
-    (McKay and Piperno, "Practical graph isomorphism, II", 2014).  This
-    stays exact: every leaf is the image of a visited leaf under the
-    recorded automorphisms, so the least list is met; and if these are
-    even, an odd automorphism maps the first leaf onto the image of a
-    visited leaf with its key list and the other parity, so comparing
-    the two records an odd one after all.
+    A depth-first search hands out the indices, each to a free parameter
+    of its colour.  A colour of one parameter is placed at the start; the
+    others take their indices in increasing order, one colour after the
+    other, each next the first that shares a coordinate with a placed
+    one, so that the bound below sees what ties it.  Three rules cut the
+    search (McKay and Piperno, "Practical graph isomorphism, II", 2014),
+    and none loses the least list or an odd automorphism:
+    - Bound.  Past the first leaf, a node names each free parameter by
+      the least index its colour has left, except in a coordinate of one
+      parameter, where the free parameters of a colour take the indices
+      it has left one each.  Parameters of one colour have the same
+      one-parameter coordinates, so together those keys are the ones of
+      every leaf below, and every other key can only be lower.  No leaf
+      below has a sorted list under the node's, so a node whose list is
+      above the least one found is cut.
+    - Automorphisms.  A leaf with the least list again differs from the
+      leaf that found it by an automorphism g of the term, which is
+      recorded; the term is zero if their parities differ.  g fixes the
+      positions the two paths share and maps the earlier path's next one
+      to this path's, so the rest of this subtree at that depth is the
+      image under g of a finished one, and the search leaves it.
+    - Orbits.  A candidate in the orbit of a tried sibling under the
+      recorded automorphisms that fix every placed position is skipped.
+    Every leaf with the least list is thus the image of a visited one
+    under recorded automorphisms, each of them even unless the search
+    has returned.  An odd automorphism would map the first least leaf to
+    the image of a visited leaf of the other parity, which was compared
+    with the first.
+
+    The search can still grow exponentially, where a colour is tied to
+    the others only through colours placed after it: a root over six
+    copies of the tree (x (y (z w))) is such a term.  It raises
+    OutOfClassError once it has keyed _SEARCH_CAP coordinates.
     """
-    slots = [[i for i, c in enumerate(colour) if c == col] for col in sorted(colour)]
-    new, path, tried, autos = [0] * len(slots), [], [[]], []  # new[i] = 0: free
-    first = best = None
-    while True:
-        if len(path) < len(slots):
+    first = {}  # first[c]: the least index of colour c
+    for d, c in enumerate(sorted(colour)):
+        first.setdefault(c, d + 1)
+    members = [[] for _ in first]
+    linked = [set() for _ in first]  # the colours that share a coordinate
+    for i, c in enumerate(colour):
+        members[c].append(i)
+    for _, pe, _, _ in parts:
+        cs = {colour[i] for i, _ in pe}
+        for c in cs:
+            linked[c] |= cs
+    new = [first[c] if len(members[c]) == 1 else 0 for c in colour]  # 0: free
+    placed = {c for c in first if len(members[c]) == 1}
+    tied = [c for c in first if c not in placed]
+    steps = []  # (colour, index) in the order the search hands them out
+    while tied:
+        c = next((c for c in tied if linked[c] & placed), tied[0])
+        tied.remove(c)
+        placed.add(c)
+        steps += [(c, first[c] + j) for j in range(len(members[c]))]
+    single = [p for p in parts if len(p[1]) < 2]
+    multi = [p for p in parts if len(p[1]) > 1]
+    path, tried, autos, best = [], [[]], [], None
+    for _ in range(_SEARCH_CAP // len(parts)):  # each step keys every coordinate
+        b = None
+        if len(path) < len(steps):
             gens = [g for g in autos if all(g[p] == p for p in path)]
             skip, size = set(tried[-1]), -1
             while len(skip) > size:  # grown to the orbit of the tried siblings
                 size = len(skip)
                 skip |= {g[i] for g in gens for i in skip}
-            b = next((i for i in slots[len(path)] if not new[i] and i not in skip), None)
-            if b is not None:
-                new[b] = len(path) + 1
-                path.append(b)
-                tried.append([])
-                continue
-        else:
-            keys = _keys(parts, new, names)
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            leaf = ([keys[i] for i in order], perm_parity(order), path[:], keys, order)
-            first, best = first or leaf, best or leaf
-            for seen in (first,) if best is first else (first, best):
-                if leaf is not seen and leaf[0] == seen[0]:
-                    if leaf[1] != seen[1]:
+            b = next((i for i in members[steps[len(path)][0]]
+                      if not new[i] and i not in skip), None)
+        if b is not None:
+            new[b] = steps[len(path)][1]
+            path.append(b)
+            tried.append([])
+            if len(path) < len(steps):
+                if best is None:
+                    continue
+                least, given = new[:], new[:]
+                for c, ms in enumerate(members):
+                    free = [i for i in ms if not new[i]]
+                    lo = first[c] + len(ms) - len(free)
+                    for j, i in enumerate(free):
+                        least[i], given[i] = lo, lo + j
+                bound = sorted(_keys(single, given, names) + _keys(multi, least, names))
+                if bound <= best[0]:
+                    continue
+            else:
+                keys = _keys(parts, new, names)
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                listed = [keys[i] for i in order]
+                if best is None or listed < best[0]:
+                    best = (listed, perm_parity(order), path[:], keys, order)
+                elif listed == best[0]:
+                    if perm_parity(order) != best[1]:
                         return None
-                    autos.append(dict(zip(seen[2], path)))  # maps seen's to this leaf's
-            if leaf[0] < best[0]:
-                best = leaf
+                    autos.append(dict(zip(best[2], path)))  # maps best's to this leaf's
+                    shared = next(d for d, p in enumerate(path) if p != best[2][d])
+                    while len(path) > shared + 1:
+                        new[path.pop()] = 0
+                        tried.pop()
         if not path:
             return best[3], best[4], best[1]
         new[path[-1]] = 0
         tried.pop()
         tried[-1].append(path.pop())
+    raise OutOfClassError("parameter relabeling search too large")
 
 
 def normalize(raw_coords: Iterable[Coordinate]):
@@ -367,7 +427,7 @@ def normalize(raw_coords: Iterable[Coordinate]):
     almost every term of the chain map, the colour order is the only
     assignment: one set of keys and one sort, and the term cannot be
     zero by symmetry, since a symmetry fixes every colour.  Tied cells
-    go through ``_least_relabeling``, which has no cap and cannot raise.
+    go through the search for the minimal key list.
     """
     coords = tuple(raw_coords)
     index: Dict[Sym, int] = {}  # parameter -> position, by first appearance
@@ -407,6 +467,9 @@ def normalize(raw_coords: Iterable[Coordinate]):
         order = sorted(range(len(keys)), key=keys.__getitem__)
         sign = perm_parity(order)
     else:
+        # equal coordinates make the term zero, even past the search cap
+        if len(set(coords)) < len(coords):
+            return None
         found = _least_relabeling(parts, colour, names)
         if found is None:
             return None
@@ -560,6 +623,17 @@ def _zero_face_one_minus(coords, i):
     return FaceOutcome((res,), ())
 
 
+def _degeneration_directions(q: Monomial, want_infinity: bool):
+    """Parameter degenerations u -> 0/inf driving q to 0 or infinity."""
+    out = []
+    for s, e in q:
+        if s[0] != RANK_PARAM:
+            continue
+        to_inf = (e > 0) == want_infinity
+        out.append((s, to_inf))
+    return out
+
+
 def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
     """Face i (1-based) at eps in {0, inf} of a single term."""
     if not 1 <= i <= t.n:
@@ -576,8 +650,7 @@ def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
         # reached only through parameter degenerations
         want_infinity = not at_zero
 
-    # the parameter degenerations u -> 0 or inf that drive q to 0 or infinity
-    degens = [(s, (e > 0) == want_infinity) for s, e in q if s[0] == RANK_PARAM]
+    degens = _degeneration_directions(q, want_infinity)
     if not degens:
         if not at_zero and any(e < 0 for s, e in q if s[0] == RANK_TOP):
             raise OutOfClassError(

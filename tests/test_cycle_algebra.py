@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forest_cycles import cycle_algebra
 from forest_cycles import (OutOfClassError, boundary, checks, concat,
                            dimension, face, is_admissible, normalize, phi,
                            standard_spec, tau, tree_sum)
@@ -32,6 +33,15 @@ def test_normalize_kills_equal_coordinates():
     eight = [om(**{f"u{i}": 1}) for i in range(1, 9)]
     assert normalize(eight + [om(a=1)]) is None
     assert normalize(eight + [om(a=1), om(a=1)]) is None
+
+
+def test_relabeling_search_gives_up_past_its_cap(monkeypatch):
+    # every step of the search keys each coordinate once; eight steps
+    # reach the first leaf of eight tied parameters and no further
+    eight = [om(**{f"u{i}": 1}) for i in range(1, 9)] + [om(a=1)]
+    monkeypatch.setattr(cycle_algebra, "_SEARCH_CAP", 8 * len(eight))
+    with pytest.raises(OutOfClassError, match="relabeling search too large"):
+        normalize(eight)
 
 
 def test_normalize_kills_orientation_reversing_symmetry():

@@ -117,3 +117,17 @@ def test_root_over_identical_corollas_maps_and_commutes(k):
     assert t.n == 4 * k + 1 and len(t.params) == k + 1
     res = checks.chain_map([T])
     assert res.passed, res.witness
+
+
+def test_root_over_copies_of_a_two_vertex_tree_maps_and_commutes():
+    # two tied cells of k parameters, the copies' vertices and their
+    # children; the search must not try the k! ways to pair them up
+    def root_over(k, leaves):
+        return tr("1", nd(*[nd(lf("x"), nd(*map(lf, leaves))) for _ in range(k)]))
+    # swapping two copies swaps their five edges, an odd automorphism
+    assert phi(tree_sum(root_over(12, "yz"))).is_zero()
+    T = root_over(8, "yzw")
+    (t, c), = phi(tree_sum(T)).items()
+    assert t.n == 6 * 8 + 1 and len(t.params) == 2 * 8 + 1
+    res = checks.chain_map([T])
+    assert res.passed, res.witness
