@@ -38,7 +38,7 @@ def cmd_tau(ns) -> int:
     spec = _spec(ns)
     S = tau(spec)
     if ns.fmt == "json":
-        print(json.dumps(sz.forest_sum_to_json(S), indent=2))
+        sz.write_json_list(sz.forest_sum_entries(S), sys.stdout)
     elif ns.fmt == "latex":
         print(sz.forest_sum_to_latex(S))
     else:
@@ -59,7 +59,7 @@ def cmd_phi(ns) -> int:
     else:
         S = fc.phi(tau(_spec(ns)))
     if ns.fmt == "json":
-        print(json.dumps(sz.cycle_sum_to_json(S), indent=2))
+        sz.write_json_list(sz.cycle_sum_entries(S), sys.stdout)
     elif ns.fmt == "latex":
         print(sz.cycle_sum_to_latex(S))
     else:

@@ -16,7 +16,8 @@ Topological variables are never renamed; their index order is data.
 by their occurrences and refines the colours to a fixed point.  When
 every parameter has a colour of its own, as almost every term of the
 chain map does, the colour order is the renaming and one sort finishes
-the term; only tied colours start the search for the least relabeling.
+the term.  Tied colours start an uncapped individualization-refinement
+search, so every term of the class has a canonical form.
 
 The values below a term are plain tuples underneath, so they are built,
 hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
@@ -37,6 +38,7 @@ once they have been asked for.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, not_
@@ -46,8 +48,6 @@ from .formal import FormalSum, perm_parity
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, Sym, parameter
 
 INF = math.inf
-
-_SEARCH_CAP = 400_000  # coordinate keys the relabeling search may build
 
 
 class OutOfClassError(Exception):
@@ -243,39 +243,51 @@ def dimension(t: CycleTerm) -> int:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _ranks(values):
-    """Each value replaced by its rank among the sorted distinct values,
-    and the number of distinct values."""
-    distinct = sorted(set(values))
-    rank = {v: r for r, v in enumerate(distinct)}
-    return [rank[v] for v in values], len(distinct)
+def _refine(colour, n, neighbours, moved):
+    """The fixed point of colour refinement from the colouring ``colour``
+    of the parameters with ``n`` colours, and its number of colours.
 
-
-def _param_signatures(occurrences, neighbours):
-    """Label-invariant colours of the parameters and their number.
-
-    Parameter i occurs as the (shape, exponent) pairs ``occurrences[i]``
-    in the coordinates whose parameter positions are ``neighbours[i]``.
-    Equal colours form a cell, and cells are searched in colour order.
-    The first colour ranks the sorted occurrences.  Each refinement
-    round then ranks (old colour, sorted neighbour colours per
-    coordinate); the rank map preserves order and is injective, so the
-    cells and their order are those of the nested signatures, and a
-    round ranks by the old colour first, so it only splits cells.
-    Rounds run to a fixed point (1-dimensional Weisfeiler-Leman on the
-    coordinate-parameter incidence): until the colouring is discrete or
-    a round leaves the number of colours as it was.
+    A colour is the start of its cell in the sorted colouring.  Parameter
+    i sits in the coordinates whose parameter positions are
+    ``neighbours[i]``.  A round splits each cell by the sorted colours of
+    the other parameters per coordinate, in that order, until none splits
+    (1-dimensional Weisfeiler-Leman); no position is read, so the result
+    is label-invariant.  ``moved`` is every parameter of a fresh colouring,
+    or the one just put first in a cell of a fixed point; a round moves
+    every part but the largest of each cell that splits.  The rest are
+    only renumbered in order, so the members of a cell that share no
+    coordinate with a moved parameter keep one signature, and one is
+    signed for all.  (In a fresh colouring they share none, and their
+    colour counts their coordinates.)
     """
-    k = len(occurrences)
-    colour, n = _ranks([tuple(sorted(occ)) for occ in occurrences])
-    while n < k:
-        colour, grown = _ranks([
-            (colour[i], tuple(sorted(tuple(sorted(colour[j] for j in ids if j != i))
-                                     for ids in neighbours[i])))
-            for i in range(k)])
-        if grown == n:
-            break
-        n = grown
+    def signature(i):
+        return tuple(sorted(tuple(sorted(colour[j] for j in ids if j != i))
+                            for ids in neighbours[i]))
+
+    k = len(colour)
+    while n < k and moved:
+        near = {i for j in moved for ids in neighbours[j] for i in ids if i != j}
+        cells = {colour[i]: [] for i in near}
+        for i, c in enumerate(colour):
+            if c in cells:
+                cells[c].append(i)
+        new, moved = colour[:], []
+        for c, members in cells.items():
+            if len(members) < 2:
+                continue
+            far = [i for i in members if i not in near]
+            signed = {signature(far[0]): far} if far else {}
+            for i in near.intersection(members):
+                signed.setdefault(signature(i), []).append(i)
+            parts = [signed[sig] for sig in sorted(signed)]
+            largest = max(parts, key=len)
+            moved += [i for part in parts if part is not largest for i in part]
+            for part in parts:
+                for i in part:
+                    new[i] = c
+                c += len(part)
+            n += len(parts) - 1
+        colour = new
     return colour, n
 
 
@@ -297,114 +309,70 @@ def _keys(parts, new, names) -> list:
             for head, pe, tail, om in parts]
 
 
-def _least_relabeling(parts, colour, names):
-    """(keys, order, sign) of the least sorted key list over the
-    relabelings that number the parameters in colour order, or None when
-    the term has an odd automorphism.
+def _least_relabeling(parts, colour, n, neighbours, names):
+    """(keys, order, sign) of the least sorted key list over the leaves of
+    the individualization-refinement tree below the fixed point ``colour``
+    of ``n`` colours, or None when the term has an odd automorphism.
 
-    A depth-first search hands out the indices, each to a free parameter
-    of its colour.  A colour of one parameter is placed at the start; the
-    others take their indices in increasing order, one colour after the
-    other, each next the first that shares a coordinate with a placed
-    one, so that the bound below sees what ties it.  Three rules cut the
-    search (McKay and Piperno, "Practical graph isomorphism, II", 2014),
-    and none loses the least list or an odd automorphism:
-    - Bound.  Past the first leaf, a node names each free parameter by
-      the least index its colour has left, except in a coordinate of one
-      parameter, where the free parameters of a colour take the indices
-      it has left one each.  Parameters of one colour have the same
-      one-parameter coordinates, so together those keys are the ones of
-      every leaf below, and every other key can only be lower.  No leaf
-      below has a sorted list under the node's, so a node whose list is
-      above the least one found is cut.
-    - Automorphisms.  A leaf with the least list again differs from the
-      leaf that found it by an automorphism g of the term, which is
-      recorded; the term is zero if their parities differ.  g fixes the
-      positions the two paths share and maps the earlier path's next one
-      to this path's, so the rest of this subtree at that depth is the
-      image under g of a finished one, and the search leaves it.
-    - Orbits.  A candidate in the orbit of a tried sibling under the
-      recorded automorphisms that fix every placed position is skipped.
+    A child puts one parameter first in the least cell of two or more and
+    refines; a leaf is discrete and names the parameter of colour c
+    u_{c+1}.  No step reads a position, so a renamed term has the same
+    leaf key lists, and the least is canonical (McKay and Piperno,
+    "Practical graph isomorphism, II", 2014).  The walk is depth first.  A
+    leaf with the least list again differs from the first that had it by
+    an automorphism g, the colour-preserving map between them; g is
+    recorded, and the term is zero if the two leaves sort their
+    coordinates with different parities.  Two cuts lose neither the least
+    list nor an odd automorphism:
+    - Jump.  g fixes the parameters the two paths share and maps the
+      earlier path's next one to this one's, so the rest of this subtree
+      at that depth is the image under g of a finished one.
+    - Orbits.  The recorded automorphisms that fix the path fix the node
+      and permute its children, so a child in the orbit of a tried sibling
+      under them is skipped.
     Every leaf with the least list is thus the image of a visited one
-    under recorded automorphisms, each of them even unless the search
-    has returned.  An odd automorphism would map the first least leaf to
-    the image of a visited leaf of the other parity, which was compared
-    with the first.
-
-    The search can still grow exponentially, where a colour is tied to
-    the others only through colours placed after it: a root over six
-    copies of the tree (x (y (z w))) is such a term.  It raises
-    OutOfClassError once it has keyed _SEARCH_CAP coordinates.
+    under recorded automorphisms, all even unless the search has returned,
+    so an odd automorphism would map the first least leaf to the image of
+    a visited leaf of the other parity, which was compared with the first.
     """
-    first = {}  # first[c]: the least index of colour c
-    for d, c in enumerate(sorted(colour)):
-        first.setdefault(c, d + 1)
-    members = [[] for _ in first]
-    linked = [set() for _ in first]  # the colours that share a coordinate
-    for i, c in enumerate(colour):
-        members[c].append(i)
-    for _, pe, _, _ in parts:
-        cs = {colour[i] for i, _ in pe}
-        for c in cs:
-            linked[c] |= cs
-    new = [first[c] if len(members[c]) == 1 else 0 for c in colour]  # 0: free
-    placed = {c for c in first if len(members[c]) == 1}
-    tied = [c for c in first if c not in placed]
-    steps = []  # (colour, index) in the order the search hands them out
-    while tied:
-        c = next((c for c in tied if linked[c] & placed), tied[0])
-        tied.remove(c)
-        placed.add(c)
-        steps += [(c, first[c] + j) for j in range(len(members[c]))]
-    single = [p for p in parts if len(p[1]) < 2]
-    multi = [p for p in parts if len(p[1]) > 1]
-    path, tried, autos, best = [], [[]], [], None
-    for _ in range(_SEARCH_CAP // len(parts)):  # each step keys every coordinate
-        b = None
-        if len(path) < len(steps):
-            gens = [g for g in autos if all(g[p] == p for p in path)]
-            skip, size = set(tried[-1]), -1
-            while len(skip) > size:  # grown to the orbit of the tried siblings
-                size = len(skip)
-                skip |= {g[i] for g in gens for i in skip}
-            b = next((i for i in members[steps[len(path)][0]]
-                      if not new[i] and i not in skip), None)
-        if b is not None:
-            new[b] = steps[len(path)][1]
-            path.append(b)
-            tried.append([])
-            if len(path) < len(steps):
-                if best is None:
-                    continue
-                least, given = new[:], new[:]
-                for c, ms in enumerate(members):
-                    free = [i for i in ms if not new[i]]
-                    lo = first[c] + len(ms) - len(free)
-                    for j, i in enumerate(free):
-                        least[i], given[i] = lo, lo + j
-                bound = sorted(_keys(single, given, names) + _keys(multi, least, names))
-                if bound <= best[0]:
-                    continue
-            else:
-                keys = _keys(parts, new, names)
-                order = sorted(range(len(keys)), key=keys.__getitem__)
-                listed = [keys[i] for i in order]
-                if best is None or listed < best[0]:
-                    best = (listed, perm_parity(order), path[:], keys, order)
-                elif listed == best[0]:
-                    if perm_parity(order) != best[1]:
-                        return None
-                    autos.append(dict(zip(best[2], path)))  # maps best's to this leaf's
-                    shared = next(d for d, p in enumerate(path) if p != best[2][d])
-                    while len(path) > shared + 1:
-                        new[path.pop()] = 0
-                        tried.pop()
+    k = len(colour)
+    nodes, path, autos, best = [(colour, n, [])], [], [], None  # a node keeps its tried children
+    while True:
+        colour, n, tried = nodes[-1]
+        if n == k:
+            keys = _keys(parts, [c + 1 for c in colour], names)
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            leaf = ([keys[i] for i in order], perm_parity(order), path[:], colour, keys, order)
+            if best is None or leaf[0] < best[0]:
+                best = leaf
+            elif leaf[0] == best[0]:
+                if leaf[1] != best[1]:
+                    return None
+                at = {c: i for i, c in enumerate(colour)}
+                g = [at[c] for c in best[3]]  # best's parameter of each colour to this leaf's
+                autos.append((g, {i for i, j in enumerate(g) if i == j}))
+                d = next(d for d, p in enumerate(path) if p != best[2][d])
+                del path[d + 1:], nodes[d + 2:]
+        else:
+            ranked = sorted(colour)
+            least = next(c for c, d in zip(ranked, ranked[1:]) if c == d)
+            cell = [i for i, c in enumerate(colour) if c == least]
+            gens = [g for g, fixed in autos if fixed.issuperset(path)]
+            skip = set(tried)
+            while grown := {g[i] for g in gens for i in skip} - skip:
+                skip |= grown  # up to the orbit of the tried siblings
+            v = next((i for i in cell if i not in skip), None)
+            if v is not None:
+                path.append(v)
+                child = colour[:]
+                for i in cell:
+                    child[i] += i != v
+                nodes.append((*_refine(child, n + 1, neighbours, [v]), []))
+                continue
         if not path:
-            return best[3], best[4], best[1]
-        new[path[-1]] = 0
-        tried.pop()
-        tried[-1].append(path.pop())
-    raise OutOfClassError("parameter relabeling search too large")
+            return best[4], best[5], best[1]
+        nodes.pop()
+        nodes[-1][2].append(path.pop())
 
 
 def normalize(raw_coords: Iterable[Coordinate]):
@@ -418,16 +386,14 @@ def normalize(raw_coords: Iterable[Coordinate]):
     coordinates oddly (an orientation-reversing self-symmetry).
 
     One walk over the coordinates splits each exponent tuple into its
-    constants, its parameters and its topological variables (the symbol
-    order keeps each run contiguous) and gathers what the colouring of
-    the parameters needs (``_param_signatures``).  A coordinate's key is
-    its exponent tuple with the parameters renamed, so the keys compare
-    as the renamed coordinates do and the winning keys are the
-    canonical coordinates.  When every colour is its own cell, which is
-    almost every term of the chain map, the colour order is the only
-    assignment: one set of keys and one sort, and the term cannot be
-    zero by symmetry, since a symmetry fixes every colour.  Tied cells
-    go through the search for the minimal key list.
+    constants, parameters and topological variables (the symbol order
+    keeps each run contiguous) and gathers what the colouring reads.  A
+    coordinate's key is its exponent tuple with the parameters renamed, so
+    the keys compare as the renamed coordinates do and the winning keys
+    are the canonical coordinates.  When every colour is its own cell,
+    which is almost every term of the chain map, the colour order is the
+    renaming, and a symmetry, which fixes every colour, cannot make the
+    term zero.  Tied cells go through ``_least_relabeling``.
     """
     coords = tuple(raw_coords)
     index: Dict[Sym, int] = {}  # parameter -> position, by first appearance
@@ -460,17 +426,22 @@ def normalize(raw_coords: Iterable[Coordinate]):
         parts.append((exps[:n_const], pe, exps[n_const + len(pe):], om))
 
     k = len(index)
-    colour, n_colours = _param_signatures(occurrences, neighbours)
+    first = [tuple(sorted(occ)) for occ in occurrences]
+    ordered = sorted(first)  # a colour is the start of its cell in this order
+    colour, n_colours = _refine([bisect_left(ordered, sig) for sig in first],
+                                len(set(first)), neighbours, range(k))
     names = _parameters(k)
     if n_colours == k:
         keys = _keys(parts, [col + 1 for col in colour], names)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         sign = perm_parity(order)
     else:
-        # equal coordinates make the term zero, even past the search cap
+        # equal coordinates make the term zero under any renaming; one set
+        # finds them before the search walks its tree (a root over 32 copies
+        # of (x x y) takes 1 ms with the set and 20 ms without it)
         if len(set(coords)) < len(coords):
             return None
-        found = _least_relabeling(parts, colour, names)
+        found = _least_relabeling(parts, colour, n_colours, neighbours, names)
         if found is None:
             return None
         keys, order, sign = found
@@ -478,8 +449,7 @@ def normalize(raw_coords: Iterable[Coordinate]):
     # Python __init__; a coordinate that the renaming leaves as it was is
     # reused.  The renaming is a bijection, so equal coordinates, which
     # make the term zero, are equal keys next to each other.
-    out = []
-    last = None
+    out, last = [], None
     for i in order:
         if keys[i] == last:
             return None
@@ -623,17 +593,6 @@ def _zero_face_one_minus(coords, i):
     return FaceOutcome((res,), ())
 
 
-def _degeneration_directions(q: Monomial, want_infinity: bool):
-    """Parameter degenerations u -> 0/inf driving q to 0 or infinity."""
-    out = []
-    for s, e in q:
-        if s[0] != RANK_PARAM:
-            continue
-        to_inf = (e > 0) == want_infinity
-        out.append((s, to_inf))
-    return out
-
-
 def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
     """Face i (1-based) at eps in {0, inf} of a single term."""
     if not 1 <= i <= t.n:
@@ -650,7 +609,8 @@ def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
         # reached only through parameter degenerations
         want_infinity = not at_zero
 
-    degens = _degeneration_directions(q, want_infinity)
+    # the parameter degenerations u -> 0 or inf that drive q to 0 or infinity
+    degens = [(s, (e > 0) == want_infinity) for s, e in q if s[0] == RANK_PARAM]
     if not degens:
         if not at_zero and any(e < 0 for s, e in q if s[0] == RANK_TOP):
             raise OutOfClassError(

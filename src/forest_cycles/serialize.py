@@ -10,6 +10,7 @@ coordinates are marked by their 1-based positions in a "plain" array.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -54,14 +55,19 @@ def forest_term_from_json(obj) -> ForestTerm:
                       int(obj.get("sign", 1)))
 
 
-def _sum_to_json(S: FormalSum, term_key, term_to_json) -> list:
-    """The terms of S in ``term_key`` order, each with a "coeff" string."""
-    return [dict(term_to_json(t), coeff=str(c))
-            for t, c in sorted(S, key=lambda tc: term_key(tc[0]))]
+def _sum_entries(S: FormalSum, term_key, term_to_json):
+    """The terms of S in ``term_key`` order, each as a JSON object with a
+    "coeff" string, made one at a time."""
+    for t, c in sorted(S, key=lambda tc: term_key(tc[0])):
+        yield dict(term_to_json(t), coeff=str(c))
+
+
+def forest_sum_entries(S: FormalSum):
+    return _sum_entries(S, repr, forest_term_to_json)
 
 
 def forest_sum_to_json(S: FormalSum) -> list:
-    return _sum_to_json(S, repr, forest_term_to_json)
+    return list(forest_sum_entries(S))
 
 
 def forest_sum_from_json(entries) -> FormalSum:
@@ -88,8 +94,12 @@ def cycle_term_from_json(obj) -> CycleTerm:
     return CycleTerm(tuple(coords))
 
 
+def cycle_sum_entries(S: FormalSum):
+    return _sum_entries(S, str, cycle_term_to_json)
+
+
 def cycle_sum_to_json(S: FormalSum) -> list:
-    return _sum_to_json(S, str, cycle_term_to_json)
+    return list(cycle_sum_entries(S))
 
 
 def cycle_sum_from_json(entries) -> FormalSum:
@@ -97,6 +107,18 @@ def cycle_sum_from_json(entries) -> FormalSum:
     for obj in entries:
         add_cycle(out, cycle_term_from_json(obj).coords, Fraction(obj.get("coeff", 1)))
     return out
+
+
+def write_json_list(entries, out) -> None:
+    """Write ``json.dumps(list(entries), indent=2)`` and a newline to the
+    text stream ``out``, one entry at a time, so that the whole document
+    is never held.  A JSON string holds no raw newline, so indenting each
+    line of an entry by two spaces nests it as the list would."""
+    sep = "[\n  "
+    for entry in entries:
+        out.write(sep + json.dumps(entry, indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,18 @@ def test_phi_maps_a_root_over_eight_identical_corollas(tmp_path, capsys):
     assert capsys.readouterr() == ("1 * [" + ", ".join(coords) + "]\n", "")
 
 
+def test_phi_maps_a_root_over_eight_copies_of_a_chain_to_zero(tmp_path, capsys):
+    # the copies' three vertices are three tied cells that refinement
+    # links only through one another; swapping two copies swaps their
+    # seven edges, an odd automorphism
+    chain = {"children": [{"leaf": "x"}, {"children": [
+        {"leaf": "y"}, {"children": [{"leaf": "z"}, {"leaf": "w"}]}]}]}
+    path = tmp_path / "chains.json"
+    path.write_text(json.dumps({"root": "1", "node": {"children": [chain] * 8}}))
+    assert main(["phi", "--tree", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr() == ("[]\n", "")
+
+
 def test_verify_suite_pass(capsys):
     assert main(["verify", "cancellation", "--m", "4"]) == 0
     assert "pass" in capsys.readouterr().out

@@ -131,3 +131,14 @@ def test_root_over_copies_of_a_two_vertex_tree_maps_and_commutes():
     assert t.n == 6 * 8 + 1 and len(t.params) == 2 * 8 + 1
     res = checks.chain_map([T])
     assert res.passed, res.witness
+
+
+def test_root_over_copies_of_a_three_vertex_chain_maps_and_commutes():
+    # three tied cells of 16 parameters, linked only through one another:
+    # the search individualizes one copy at a time and refines it off
+    T = tr("1", nd(*[nd(lf("x"), nd(lf("y"), nd(lf("z"), lf("w"), lf("v"))))
+                     for _ in range(16)]))
+    (t, c), = phi(tree_sum(T)).items()
+    assert t.n == 8 * 16 + 1 and len(t.params) == 3 * 16 + 1
+    res = checks.chain_map([T])
+    assert res.passed, res.witness

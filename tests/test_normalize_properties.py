@@ -1,6 +1,6 @@
 """Label invariance of ``normalize``, ``normalize`` against a brute-force
-search over every relabeling, and the hash/eq contract of the cycle
-value types."""
+walk of the whole individualization-refinement tree, and the hash/eq
+contract of the cycle value types."""
 
 import itertools
 import os
@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forest_cycles
-from forest_cycles import (Coordinate, CycleTerm, constant, monomial, normalize,
-                           parameter, phi_tree)
+from forest_cycles import (Coordinate, CycleTerm, Leaf, Node, RDecoTree, constant,
+                           deco, monomial, normalize, parameter, phi_tree)
 from forest_cycles.forest_algebra import edge_count
 from forest_cycles.formal import perm_parity
-from forest_cycles.symbols import sym_from_name
+from forest_cycles.symbols import UNIT, sym_from_name
 from helpers import generic_tree
 
 MAX_EDGES = 24
@@ -89,6 +89,57 @@ def _raw_rings(rng: random.Random):
     return coords
 
 
+def _raw_circulants(rng: random.Random):
+    """Raw coordinates 1 - u_i^a u_{i+j}^b for every i around a ring of at
+    most seven parameters, for one or two steps j: terms whose rotations
+    are automorphisms and whose colours refinement cannot split.
+    Sometimes one more coordinate ties one parameter to a constant."""
+    k = rng.randint(2, 7)
+    coords = []
+    for j in rng.sample(range(1, k), min(k - 1, rng.randint(1, 2))):
+        a, b = rng.choice((1, -1, 2)), rng.choice((1, -1))
+        coords.extend(Coordinate(monomial({parameter(i + 1): a,
+                                           parameter((i + j) % k + 1): b}))
+                      for i in range(k))
+    if rng.random() < 0.3:
+        coords.append(Coordinate(monomial({parameter(1): 1, constant("a"): 1}),
+                                 rng.random() < 0.5))
+    return coords
+
+
+def _raw_copy_tree(rng: random.Random, max_edges: int):
+    """Raw coordinates of ``phi_tree`` on a random tree of about
+    ``max_edges`` edges built from copies: an internal vertex holds two or
+    three copies of one subtree, or two leaves, and perhaps one subtree
+    more.  Leaf names are fresh except across copies, and a leaf is never
+    copied, so no two coordinates coincide.  A copy has an even number of
+    edges, so that the term is rarely zero."""
+    names = _names(False)
+
+    def size(node):  # edges of a subtree, counting the one above it
+        return 1 + (0 if isinstance(node, Leaf) else sum(map(size, node.children)))
+
+    def build(edges):
+        if edges < 3:
+            return Leaf(deco(next(names)))
+        copies = rng.randint(2, min(3, edges - 1))
+        share = (edges - 1) // copies
+        sub = build(rng.randint((share + 1) // 2, share))
+        if isinstance(sub, Leaf):
+            children = [sub, Leaf(deco(next(names)))]
+        else:
+            if size(sub) % 2:  # an odd copy makes the swap of two copies odd
+                sub = Node(sub.children + (Leaf(deco(next(names))),))
+            children = [sub] * copies
+        left = edges - 1 - sum(map(size, children))
+        if left >= 1 and rng.random() < 0.5:
+            children.append(build(rng.randint(1, left)))
+        return Node(tuple(children))
+
+    root = UNIT if rng.random() < 0.5 else deco(next(names))
+    return list(phi_tree(RDecoTree(root, build(max_edges))).coords)
+
+
 def _relabeled_and_shuffled(rng: random.Random, raw):
     """The coordinates under fresh parameter names, in a random order,
     and that order as a permutation of the input positions."""
@@ -102,9 +153,14 @@ def _relabeled_and_shuffled(rng: random.Random, raw):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(st.randoms(use_true_random=False), st.booleans())
-def test_normalize_invariant_under_relabeling_and_permutation(rng, repeat_names):
-    raw = _raw_image(rng, MAX_EDGES, _names(repeat_names))
+@given(st.randoms(use_true_random=False), st.sampled_from(("fresh", "pool", "copies")))
+def test_normalize_invariant_under_relabeling_and_permutation(rng, inputs):
+    # every copy-built tree, of about 120 edges, has tied cells (up to 27
+    # parameters in 300 seeded draws), so each one goes through the search
+    if inputs == "copies":
+        raw = _raw_copy_tree(rng, 120)
+    else:
+        raw = _raw_image(rng, MAX_EDGES, _names(inputs == "pool"))
     moved, perm = _relabeled_and_shuffled(rng, raw)
 
     want = normalize(raw)
@@ -115,30 +171,51 @@ def test_normalize_invariant_under_relabeling_and_permutation(rng, repeat_names)
         assert got == (want[0], want[1] * perm_parity(perm))
 
 
-def _reference_colours(coords, params) -> dict:
-    """Parameter colours written with plain dicts: each parameter's sorted
-    (anonymous coordinate shape, exponent) occurrences, then rounds that
-    add the sorted colours of the other parameters of each coordinate it
-    sits in, until a round leaves the number of colours as it was."""
+def _ranked(signature: dict) -> dict:
+    rank = {v: r for r, v in enumerate(sorted(set(signature.values())))}
+    return {p: rank[v] for p, v in signature.items()}
+
+
+def _first_colours(coords, params) -> dict:
+    """Each parameter's colour: its sorted (anonymous coordinate shape,
+    exponent) occurrences."""
     def shape(c):
         return (int(c.one_minus),
                 tuple(sorted((s.kind, "" if s.kind == "param" else s.name, e)
                              for s, e in c.q.exps)))
 
-    def ranked(signature):
-        rank = {v: r for r, v in enumerate(sorted(set(signature.values())))}
-        return {p: rank[v] for p, v in signature.items()}
+    return _ranked({p: tuple(sorted((shape(c), c.q.exp_of(p))
+                                    for c in coords if c.q.exp_of(p)))
+                    for p in params})
 
-    around = {p: [c for c in coords if c.q.exp_of(p)] for p in params}
-    colour = ranked({p: tuple(sorted((shape(c), c.q.exp_of(p)) for c in around[p]))
-                     for p in params})
+
+def _reference_colours(coords, colour: dict) -> dict:
+    """The colouring ``colour`` refined with plain dicts: rounds add the
+    sorted colours of the other parameters of each coordinate a parameter
+    sits in, until a round leaves the number of colours as it was."""
+    around = {p: [c for c in coords if c.q.exp_of(p)] for p in colour}
     while True:
-        refined = ranked({p: (colour[p], tuple(sorted(
+        refined = _ranked({p: (colour[p], tuple(sorted(
             tuple(sorted(colour[s] for s, _ in c.q.exps if s in colour and s != p))
-            for c in around[p]))) for p in params})
+            for c in around[p]))) for p in colour})
         if len(set(refined.values())) == len(set(colour.values())):
             return colour
         colour = refined
+
+
+def _leaves(coords, colour: dict):
+    """The discrete colourings at the leaves of the whole
+    individualization-refinement tree below ``colour``, none pruned: refine,
+    then put each parameter of the least colour that two share first in
+    that colour in turn."""
+    colour = _reference_colours(coords, colour)
+    values = sorted(colour.values())
+    tied = [c for c, d in zip(values, values[1:]) if c == d]
+    if not tied:
+        yield colour
+        return
+    for v in [p for p in colour if colour[p] == tied[0]]:
+        yield from _leaves(coords, _ranked({p: (c, p != v) for p, c in colour.items()}))
 
 
 def _parity(order) -> int:
@@ -152,21 +229,17 @@ def _reference_key(c) -> tuple:
 
 
 def _brute_force_normalize(coords):
-    """The least sorted coordinate-key list over every relabeling u1..uk
-    that gives lower colours lower indices, with the sign of its sort;
-    zero when that least list is reached with both signs, when a
-    coordinate is 1 or when two coordinates coincide."""
+    """The least sorted coordinate-key list over the leaves of the whole
+    individualization-refinement tree, each leaf naming the parameter of
+    colour c u_{c+1}, with the sign of its sort; zero when that least
+    list is reached with both signs, when a coordinate is 1 or when two
+    coordinates coincide."""
     if any(c.q.is_one for c in coords) or len(set(coords)) < len(coords):
         return None
     params = sorted({s for c in coords for s, _ in c.q.exps if s.kind == "param"})
-    colour = _reference_colours(coords, params)
     best = None
-    for names in itertools.permutations(range(1, len(params) + 1)):
-        pairs = list(zip(params, names))
-        if any(colour[p] < colour[q] and i > j
-               for (p, i), (q, j) in itertools.permutations(pairs, 2)):
-            continue
-        renamed = [c.rename({p: parameter(i) for p, i in pairs}) for c in coords]
+    for leaf in _leaves(coords, _first_colours(coords, params)):
+        renamed = [c.rename({p: parameter(leaf[p] + 1) for p in params}) for c in coords]
         order = sorted(range(len(coords)), key=lambda i: _reference_key(renamed[i]))
         key = [_reference_key(renamed[i]) for i in order]
         if best is None or key < best[0]:
@@ -177,17 +250,18 @@ def _brute_force_normalize(coords):
     return None if len(parities) == 2 else (CycleTerm(term), parities.pop())
 
 
-@settings(max_examples=400, deadline=None, database=None)
+@settings(max_examples=500, deadline=None, database=None)
 @given(st.randoms(use_true_random=False),
-       st.sampled_from(("fresh", "pool", "copies", "rings")))
-def test_normalize_is_the_least_key_over_colour_ordered_relabelings(rng, inputs):
-    # at most 11 edges keep k <= 5 parameters, and the copies and rings
-    # keep k <= 6, so all k! relabelings are tried; the copies and rings
-    # tie whole cells
+       st.sampled_from(("fresh", "pool", "copies", "rings", "circulants")))
+def test_normalize_is_the_least_key_over_refinement_leaves(rng, inputs):
+    # at most 11 edges keep k <= 5 parameters, the copies and rings k <= 6
+    # and the circulants k <= 7, so the unpruned tree stays small; the
+    # copies, rings and circulants tie whole cells
     if inputs in ("fresh", "pool"):
         raw = _raw_image(rng, 11, _names(inputs == "pool"))
     else:
-        raw = _raw_copies(rng) if inputs == "copies" else _raw_rings(rng)
+        raw = {"copies": _raw_copies, "rings": _raw_rings,
+               "circulants": _raw_circulants}[inputs](rng)
     raw, _ = _relabeled_and_shuffled(rng, raw)
     assert normalize(raw) == _brute_force_normalize(raw)
 

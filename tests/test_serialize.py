@@ -1,3 +1,4 @@
+import io
 import json
 import warnings
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import forest_cycles
 from forest_cycles import (Coordinate, D, ForestTerm, boundary, checks, d,
-                           load_fixture, phi, tree_sum)
+                           load_fixture, phi, standard_spec, tau, tree_sum)
 from forest_cycles import serialize as sz
 from forest_cycles.cycle_algebra import cycle_sum
 from forest_cycles.forest_algebra import forest_sum
@@ -20,6 +21,21 @@ def test_tree_json_round_trip():
     for T in (two_leaf_tree(), left_comb3()):
         blob = json.dumps(sz.tree_to_json(T))
         assert sz.tree_from_json(json.loads(blob)) == T
+
+
+def _written(entries) -> str:
+    out = io.StringIO()
+    sz.write_json_list(entries, out)
+    return out.getvalue()
+
+
+def test_streamed_json_list_is_byte_identical_to_one_dump():
+    for entries in ([], [{}], [[]], [{"a": [1, {"b": "x\ny"}], "c": []}, {"coeff": "-1/2"}]):
+        assert _written(iter(entries)) == json.dumps(entries, indent=2) + "\n"
+    S = tau(standard_spec(4))
+    for stream, whole in ((sz.forest_sum_entries(S), sz.forest_sum_to_json(S)),
+                          (sz.cycle_sum_entries(phi(S)), sz.cycle_sum_to_json(phi(S)))):
+        assert _written(stream) == json.dumps(whole, indent=2) + "\n"
 
 
 def test_tree_json_shape():
