@@ -3,9 +3,10 @@
 Every exact law of the construction is one function that takes the
 cases to check and returns a ``CheckResult``.  A check stops at the
 first failing case; its witness names the case and the nonzero
-difference, the certificate or the offending term.  The numeric correspondences return both
-sides of their identity instead, since callers print the values.  The
-CLI ``verify`` suites and the test suite both call these functions.
+difference, the certificate or the offending term.  The numeric
+correspondences return both sides of their identity instead, since
+callers print the values.  The CLI ``verify`` suites and the test suite
+both call these functions.
 """
 
 from __future__ import annotations

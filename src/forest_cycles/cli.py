@@ -124,20 +124,19 @@ def _suite_bounding(ns) -> bool:
 
 
 def _suite_numeric(ns) -> bool:
-    ctx = nm.NumericContext(quadrature_order=ns.order, tolerance=min(ns.tol, 1e-8))
     ok = True
     if ns.xs:
-        value, series, diff = checks.integral_vs_series(ns.xs, ctx)
+        value, series, diff = checks.integral_vs_series(ns.xs, ns.ctx)
         print(f"integral {value:.12f} vs series {series:.12f} "
               f"(signed diff {diff:.2e}): {'pass' if diff < ns.tol else 'FAIL'}")
         ok = ok and diff < ns.tol
     for name in ("double_log", "triple_log"):
-        value, expected, gap = checks.fixture_integral(name, ctx)
+        value, expected, gap = checks.fixture_integral(name, ns.ctx)
         good = gap < ns.tol
         print(f"fixture {name} topological integral {value:.10f} "
               f"expected {expected:.10f}: {'pass' if good else 'FAIL'}")
         ok = ok and good
-    resid = nm.check_diffLi(0.3, 0.4, 1e-4, ctx)
+    resid = nm.check_diffLi(0.3, 0.4, 1e-4, ns.ctx)
     good = resid < 1e-5
     print(f"differential identity residual {resid:.2e}: {'pass' if good else 'FAIL'}")
     return ok and good
@@ -162,6 +161,7 @@ def cmd_verify(ns) -> int:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     ns.xs = _floats(ns.xs)
     ns.specs = [standard_spec(m) for m in range(2, ns.m + 1)]
+    ns.ctx = nm.NumericContext(quadrature_order=ns.order, tolerance=min(ns.tol, 1e-8))
     ok = True
     for name in list(_SUITES) if ns.suite == "all" else [ns.suite]:
         ok = _SUITES[name](ns) and ok
@@ -213,7 +213,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=[*_SUITES, "all"])
-    p_ver.add_argument("--m", type=int, default=4)
+    p_ver.add_argument("--m", type=int, default=5)
     p_ver.add_argument("--fixture", choices=("double_log", "triple_log"), default=None)
     p_ver.add_argument("--x", dest="xs", type=str, default="")
     p_ver.add_argument("--tol", type=float, default=1e-6)

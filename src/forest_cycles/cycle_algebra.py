@@ -4,8 +4,16 @@ A term is an ordered list of coordinates on the algebraic n-cube.  Each
 coordinate is either 1 - q (the generic shape) or the bare monomial q,
 where q is a Laurent monomial in constant symbols, algebraic parameters
 and topological variables.  The bare shape exists because the classical
-weight-one cycle [t, 1-t, 1-a/t] and its boundary [a, 1-a] need it; both
-shapes share the same face and sign machinery.
+weight-one cycle [t, 1-t, 1-a/t] and its boundary [a, 1-a] need it.
+
+The boundary is the sum over i of (-1)^(i-1) times the face z_i = 0
+minus the face z_i = infinity.  In this class each face is one
+substitution for one parameter: the zero face of 1 - q solves q = 1 for
+a parameter of exponent +-1, and every other face sends a parameter of
+q to 0 or infinity.  One loop, ``_restricted``, substitutes in the other
+coordinates.  One that lands on the removed point 1 empties the face,
+whatever else happens; one that becomes the constant 0 or infinity is
+flagged (an admissibility violation, a class error for ``boundary``).
 
 Terms are canonical: coordinates are sorted, with the permutation
 parity exported as a sign, and equal coordinates kill the term.
@@ -501,90 +509,46 @@ class FaceOutcome:
 _EMPTY_OUTCOME = FaceOutcome()
 
 
-def _limit_outcome(coords, i, degen_sym, to_infinity):
-    """Common part of the degeneration faces: drop coordinate i and send
-    one parameter to 0 or infinity, then classify what the other
-    coordinates do in the limit.  Emptiness (a coordinate pinned at the
-    removed point 1) dominates any flag."""
-    new_coords = []
-    flags = []
-    for jdx, c in enumerate(coords):
-        if jdx == i:
-            continue
-        for s, f in c[0]:
-            if s == degen_sym:
-                break
-        else:
-            new_coords.append(c)
-            continue
-        blows_up = (f > 0) == to_infinity
-        if blows_up:
-            flags.append(f"coordinate {jdx + 1} -> constant infinity")
-        else:
-            # q -> 0
-            if c[1]:
-                return _EMPTY_OUTCOME  # 1 - q -> 1, the removed point
-            flags.append(f"coordinate {jdx + 1} -> constant 0")
-    if flags:
-        return FaceOutcome((), tuple(flags))
-    res = normalize(new_coords)
-    if res is None:
-        return _EMPTY_OUTCOME
-    return FaceOutcome((res,), ())
+def _restricted(coords, i, pivot, image) -> FaceOutcome:
+    """Drop coordinate i and restrict the others to the face on which the
+    parameter ``pivot`` is solved for or sent to a limit.
 
-
-def _zero_face_one_minus(coords, i):
-    """Solve q_i = 1 by eliminating one parameter of exponent +-1.
-
-    The pivot p enters q_i as p^e, so p = r^-e for r the rest of q_i.
-    Every other coordinate that holds p^f has it replaced by r^(-e f) in
-    one merge (``_product``); r^(-e f) is built once per exponent f.
+    ``image(f)`` is what ``pivot^f`` becomes, built once per exponent f:
+    the sorted pairs of a monomial, which one ``_product`` merges into
+    the rest of q, or the constant 0 or INF, which q becomes as a whole.
+    A coordinate whose value becomes constant ends the face: the removed
+    point 1 empties it, which beats any flag, and 0 or infinity is
+    flagged.
     """
-    q = coords[i][0]
-    pivots = [s for s, e in q if s[0] == RANK_PARAM and (e == 1 or e == -1)]
-    if not pivots:
-        if any(s[0] == RANK_PARAM for s, _ in q):
-            raise OutOfClassError(
-                f"zero-face of {coords[i]}: no parameter enters with exponent +-1")
-        if sum(s[0] == RANK_TOP for s, _ in q) >= 2:
-            raise OutOfClassError(
-                f"zero-face of {coords[i]} relates two topological variables")
-        # constants alone, or one topological variable against generic
-        # constants: no solution on the cube resp. inside [0,1]
-        return _EMPTY_OUTCOME
-    pivot = min(pivots)
-    e = q.exp_of(pivot)
-    rest = [p for p in q if p[0] != pivot]
-    repls = {}  # f -> the pairs of r^(-e f)
-    new_coords = []
-    flags = []
-    empty = False
+    images = {}
+    new_coords, flags = [], []
     for jdx, c in enumerate(coords):
         if jdx == i:
             continue
-        q2 = c[0]
-        for k, (s, f) in enumerate(q2):
+        q = c[0]
+        for s, f in q:
             if s == pivot:
                 break
         else:
             new_coords.append(c)
             continue
-        repl = repls.get(f)
-        if repl is None:
-            g = -e * f
-            repl = repls[f] = rest if g == 1 else [(s, x * g) for s, x in rest]
-        pairs = list(q2)
-        del pairs[k]
-        q2 = _product(pairs, repl)
-        if q2.is_one:
-            if c[1]:
-                flags.append(f"coordinate {jdx + 1} -> constant 0")
+        img = images.get(f)
+        if img is None:
+            img = images[f] = image(f)
+        if img.__class__ is list:
+            pairs = list(q)
+            pairs.remove((s, f))
+            q = _product(pairs, img)
+            if not q.is_one:
+                new_coords.append(_new(Coordinate, (q, c[1])))
                 continue
-            empty = True  # bare monomial pinned at the removed point 1
-            break
-        new_coords.append(_new(Coordinate, (q2, c[1])))
-    if empty:
-        return _EMPTY_OUTCOME
+            img = 1
+        # q is now the constant img, and the coordinate the constant z
+        z = 1 - img if c[1] and img != INF else img
+        if z == 1:
+            return _EMPTY_OUTCOME  # the removed point 1
+        flags.append(f"coordinate {jdx + 1} -> constant "
+                     f"{'infinity' if z == INF else 0}")
     if flags:
         return FaceOutcome((), tuple(flags))
     res = normalize(new_coords)
@@ -597,55 +561,69 @@ def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
     """Face i (1-based) at eps in {0, inf} of a single term."""
     if not 1 <= i <= t.n:
         raise ValueError(f"face index {i} out of range")
-    q, one_minus = t.coords[i - 1]
+    coord = t.coords[i - 1]
+    q, one_minus = coord
     at_zero = not (eps == INF or eps == "inf")
 
-    if one_minus:
-        if at_zero:
-            return _zero_face_one_minus(t.coords, i - 1)
-        want_infinity = True
-    else:
-        # bare monomial coordinate: z = q, so z = 0 and z = inf are both
-        # reached only through parameter degenerations
-        want_infinity = not at_zero
+    if one_minus and at_zero:
+        # solve q = 1 for its least parameter p of exponent e = +-1: p = r^-e
+        # for r the rest of q
+        pivots = [(s, e) for s, e in q if s[0] == RANK_PARAM and (e == 1 or e == -1)]
+        if not pivots:
+            if any(s[0] == RANK_PARAM for s, _ in q):
+                raise OutOfClassError(
+                    f"zero-face of {coord}: no parameter enters with exponent +-1")
+            if sum(s[0] == RANK_TOP for s, _ in q) >= 2:
+                raise OutOfClassError(
+                    f"zero-face of {coord} relates two topological variables")
+            # constants alone, or one topological variable against generic
+            # constants: no solution on the cube resp. inside [0,1]
+            return _EMPTY_OUTCOME
+        pivot, e = min(pivots)
+        return _restricted(t.coords, i - 1, pivot,
+                           lambda f: [(s, -e * f * x) for s, x in q if s != pivot])
 
-    # the parameter degenerations u -> 0 or inf that drive q to 0 or infinity
+    # 1 - q at infinity, or a bare q at 0 or infinity: the face is reached
+    # only through the parameter limits u -> 0 or inf that drive q there
+    want_infinity = one_minus or not at_zero
     degens = [(s, (e > 0) == want_infinity) for s, e in q if s[0] == RANK_PARAM]
     if not degens:
         if not at_zero and any(e < 0 for s, e in q if s[0] == RANK_TOP):
             raise OutOfClassError(
                 f"coordinate {i} would need a topological variable at 0 to blow up")
         return _EMPTY_OUTCOME
-    contributions = []
-    flags = []
+    contributions, flags = [], []
     for sym, to_inf in degens:
-        out = _limit_outcome(t.coords, i - 1, sym, to_inf)
-        contributions.extend(out.contributions)
-        flags.extend(out.flags)
+        out = _restricted(t.coords, i - 1, sym,
+                          lambda f: INF if (f > 0) == to_inf else 0)
+        contributions += out.contributions
+        flags += out.flags
     return FaceOutcome(tuple(contributions), tuple(flags))
+
+
+def _add_face(out: FormalSum, t: CycleTerm, i: int, eps, sign: int) -> None:
+    """Add sign times face i at eps of t to ``out``; a degenerate-constant
+    outcome is a class error."""
+    res = face_outcome(t, i, eps)
+    if res.flags:
+        raise OutOfClassError("; ".join(res.flags))
+    for term, s in res.contributions:
+        out.add_term(term, sign * s)
 
 
 def face(t: CycleTerm, i: int, eps) -> FormalSum:
     """Public face map; degenerate-constant outcomes are class errors."""
-    out = face_outcome(t, i, eps)
-    if out.flags:
-        raise OutOfClassError("; ".join(out.flags))
-    s = FormalSum()
-    for term, sign in out.contributions:
-        s.add_term(term, sign)
-    return s
+    out = FormalSum()
+    _add_face(out, t, i, eps, 1)
+    return out
 
 
 def boundary_term(t: CycleTerm) -> FormalSum:
     out = FormalSum()
     for i in range(1, t.n + 1):
         sign = 1 if i % 2 == 1 else -1
-        for eps, eps_sign in ((0, 1), (INF, -1)):
-            res = face_outcome(t, i, eps)
-            if res.flags:
-                raise OutOfClassError("; ".join(res.flags))
-            for term, s in res.contributions:
-                out.add_term(term, Fraction(sign * eps_sign * s))
+        _add_face(out, t, i, 0, sign)
+        _add_face(out, t, i, INF, -sign)
     return out
 
 

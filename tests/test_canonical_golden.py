@@ -15,11 +15,12 @@ from importlib import resources
 
 from forest_cycles import (OutOfClassError, boundary, checks, d, is_admissible,
                            normalize, phi, standard_spec, tau)
+from forest_cycles.cycle_algebra import INF, face_outcome
 from forest_cycles.forest_algebra import d_contributions, forest_sum
 from forest_cycles.serialize import (cycle_sum_to_json, cycle_term_from_json,
                                      cycle_term_to_json, forest_sum_to_json,
                                      forest_term_to_json)
-from helpers import forest, lf, nd, om, tr
+from helpers import bare, ct, forest, hybrid_image, lf, nd, om, tr
 
 EXPECTED = {
     "phi_tau":
@@ -42,6 +43,8 @@ EXPECTED = {
         "a3714dca9db6181cb7455ed3d082313741d6dbd6a94dbcbaf0d69b5d26681499",
     "d_contributions_raw":
         "9f6a16228a0929f90e6363efc2aaced7e5d2570865a5a076db7e05e9dc5b9238",
+    "face_outcomes":
+        "8881c37aa794d918e72d417f1d036381f9355d40c89a09a6606aabd205e5f779",
 }
 
 
@@ -66,6 +69,48 @@ def _boundary_or_error(S):
         return cycle_sum_to_json(boundary(S))
     except OutOfClassError as exc:
         return {"error": str(exc)}
+
+
+def _random_term(rng):
+    # bare and 1 - q coordinates over parameters, a constant and two
+    # topological variables, with exponents up to +-2
+    names = ("u1", "u2", "u3", "a", "s1", "s2")
+    coords = []
+    for _ in range(rng.randint(1, 4)):
+        picked = rng.sample(names, rng.randint(1, 3))
+        exps = {s: rng.choice((-2, -1, 1, 2)) for s in picked}
+        coords.append((om if rng.random() < 0.6 else bare)(**exps))
+    return ct(*coords)
+
+
+def _face_outcomes(seeds) -> list:
+    """Every face of seeded phi images, hybrid images and random terms
+    with bare coordinates, and every face of their faces: the surviving
+    terms and signs with the flags, or the error."""
+    records = []
+
+    def faces(t, deeper):
+        for i in range(1, t.n + 1):
+            for eps in (0, INF):
+                try:
+                    out = face_outcome(t, i, eps)
+                except OutOfClassError as exc:
+                    records.append({"error": type(exc).__name__, "message": str(exc)})
+                    continue
+                records.append([[[cycle_term_to_json(sub), sign]
+                                 for sub, sign in out.contributions], list(out.flags)])
+                if deeper:
+                    for sub, _ in out.contributions:
+                        faces(sub, False)
+
+    for seed in seeds:
+        rng = random.Random(seed)
+        terms = [t for t, _ in phi(forest_sum([(checks.random_forest(rng), 1)]))]
+        terms += [t for t, _ in hybrid_image(rng)]
+        terms.append(_random_term(rng))
+        for t in terms:
+            faces(t, True)
+    return records
 
 
 def golden_outputs() -> dict:
@@ -108,6 +153,7 @@ def golden_outputs() -> dict:
         "d_contributions_raw": [
             [i, list(p), None if res is None else forest_term_to_json(res), str(c)]
             for i, p, res, c in d_contributions(multi)],
+        "face_outcomes": _face_outcomes(range(60)),
     }
 
 

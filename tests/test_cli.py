@@ -131,6 +131,8 @@ def test_missing_tree_file_is_usage_error(capsys):
     ["eval", "integral", "--x", "2", "--order", "100000000"],
     ["verify", "chain-map", "--m", "1"],
     ["verify", "d2", "--count", "-3"],
+    ["verify", "all", "--order", "1"],
+    ["verify", "all", "--tol", "0"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     assert main(argv) == 2
