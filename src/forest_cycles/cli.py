@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -31,7 +32,10 @@ def _spec(ns) -> TauSpec:
 
 
 def _floats(text: str) -> list:
-    return [float(s) for s in text.split(",")] if text else []
+    xs = [float(s) for s in text.split(",")] if text else []
+    if any(map(math.isnan, xs)):
+        raise ValueError(f"not a number in --x {text}")
+    return xs
 
 
 def cmd_tau(ns) -> int:
@@ -182,8 +186,7 @@ def cmd_eval(ns) -> int:
     elif ns.mode == "integral":
         report = {"value": value, "error_estimate": error}
     else:
-        sval = nm.multiple_log_series(xs, ctx)
-        report = {"series": sval.real if sval.imag == 0 else [sval.real, sval.imag]}
+        report = {"series": nm.multiple_log_series(xs, ctx).real}
     print(json.dumps(report, indent=2))
     return 0 if report.get("passed", True) else 1
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import itemgetter, not_
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -474,7 +473,7 @@ def add_cycle(out: FormalSum, raw_coords, coeff) -> None:
     if res is None:
         return
     term, sign = res
-    out.add_term(term, Fraction(coeff) * sign)
+    out.add_term(term, coeff * sign)
 
 
 def cycle_sum(entries) -> FormalSum:
@@ -657,7 +656,7 @@ def concat(A: FormalSum, B: FormalSum) -> FormalSum:
 
 
 def unit_sum() -> FormalSum:
-    return FormalSum.single(EMPTY_TERM, 1)
+    return FormalSum([(EMPTY_TERM, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ two trees only when they tie on edge count and root decoration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import ClassVar, Optional, Tuple, Union
 
 from .formal import FormalSum, sort_with_parity
@@ -118,11 +117,6 @@ class ForestTerm:
 
     def __reduce__(self):
         return (ForestTerm, (self.trees, self.sign))
-
-
-# the coefficients of single contractions, shared by every term of ``d``
-_ZERO = Fraction(0)
-_UNITS = {1: Fraction(1), -1: Fraction(-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +247,7 @@ def add_forest(out: FormalSum, F: ForestTerm, coeff) -> None:
     if cut is None:
         return
     trees, ksign = cut
-    out.add_term(ForestTerm(trees), Fraction(coeff) * (F.sign * ksign))
+    out.add_term(ForestTerm(trees), coeff * (F.sign * ksign))
 
 
 def forest_sum(terms) -> FormalSum:
@@ -360,9 +354,9 @@ def d_contributions(F: ForestTerm):
     listed, each in canonical edge order.  Contracting the k-th edge
     carries (-1)^k, and ``canonical_term`` adds the Koszul sign of sorting
     the resulting trees.  Yields (tree_index, edge_path, result, coeff)
-    with result either a canonical ForestTerm of sign +1 paired with a
-    nonzero coeff, or None for contributions that vanish (degenerate
-    contraction or equal odd trees in the result).
+    with result either a canonical ForestTerm of sign +1 paired with the
+    int coeff +1 or -1, or None paired with 0 for contributions that
+    vanish (degenerate contraction or equal odd trees in the result).
     """
     trees = F.trees
     edge_sign = F.sign  # F.sign * (-1)^k at the k-th edge
@@ -374,10 +368,10 @@ def d_contributions(F: ForestTerm):
                 comps, sign = cut
                 term = _sorted_trees(trees[:i] + comps + trees[i + 1:])
             if term is None:
-                yield i, p, None, _ZERO
+                yield i, p, None, 0
             else:
                 result, ksign = term
-                yield i, p, ForestTerm(result), _UNITS[edge_sign * sign * ksign]
+                yield i, p, ForestTerm(result), edge_sign * sign * ksign
             edge_sign = -edge_sign
 
 

@@ -5,9 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Tuple
 
+_EXACT = (int, Fraction)  # coefficient types stored as given
+
 
 class FormalSum:
-    """Finitely supported map term -> Fraction, no zero coefficients stored.
+    """Finitely supported map term -> int or Fraction, no zeros stored.
+    ``add_term`` and ``scale`` alone decide a coefficient's type: they keep
+    an int or a Fraction and turn any other number into its exact Fraction.
 
     The class is deliberately dumb about what a term is; canonicalization
     happens in the callers (forest and cycle modules) before insertion.
@@ -20,14 +24,8 @@ class FormalSum:
         for t, c in items:
             self.add_term(t, c)
 
-    @classmethod
-    def single(cls, term, coeff=1) -> "FormalSum":
-        s = cls()
-        s.add_term(term, coeff)
-        return s
-
     def add_term(self, term, coeff) -> None:
-        if type(coeff) is not Fraction:
+        if type(coeff) not in _EXACT:
             coeff = Fraction(coeff)
         old = self._terms.get(term)
         c = coeff if old is None else old + coeff
@@ -72,7 +70,8 @@ class FormalSum:
         return self.scale(-1)
 
     def scale(self, k) -> "FormalSum":
-        k = Fraction(k)
+        if type(k) not in _EXACT:
+            k = Fraction(k)
         out = FormalSum()
         if k:
             for t, c in self._terms.items():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -31,17 +31,15 @@ INTEGRATION_MEMORY_BUDGET = 256 * 2 ** 20  # bytes
 MAX_QUADRATURE_ORDER = math.isqrt(INTEGRATION_MEMORY_BUDGET // (4 * 8)) // 2
 
 POLYDISC_MARGIN = 1e-6  # the series refuses an argument with |z| > 1 - margin
+SERIES_TERMS = 400  # the series sums the indices k <= SERIES_TERMS
 
 
 @dataclass(frozen=True)
 class NumericContext:
-    series_truncation: int = 400
     quadrature_order: int = 32
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.series_truncation < 1:
-            raise ValueError("series truncation must be >= 1")
         if self.quadrature_order < 2:
             raise ValueError("quadrature order must be >= 2")
         if self.quadrature_order > MAX_QUADRATURE_ORDER:
@@ -56,53 +54,41 @@ class NumericContext:
 DEFAULT_CTX = NumericContext()
 
 
-def li1(z) -> complex:
-    """-log(1 - z), the depth-one closed form."""
-    if isinstance(z, complex):
-        import cmath
-        return -cmath.log(1 - z)
+def li1(z: float) -> float:
+    """-log(1 - z), the depth-one closed form for real z < 1."""
     return -math.log1p(-z)
 
 
 def multiple_log_series(z: Sequence[complex], ctx: NumericContext = DEFAULT_CTX) -> complex:
-    """Truncated nested sum over 0 < k1 < ... < km <= K of prod z_i^{k_i}/k_i.
+    """Nested sum over 0 < k1 < ... < km <= SERIES_TERMS of prod z_i^{k_i}/k_i.
 
-    Raises when an argument leaves the guarded polydisc or when the tail
-    bound exceeds the context tolerance.
+    Raises when an argument leaves the guarded polydisc (a NaN argument
+    included) or when the tail bound exceeds the context tolerance.
     """
     zs = [complex(v) for v in z]
     if not zs:
         raise ValueError("need at least one argument")
-    K = ctx.series_truncation
+    K = SERIES_TERMS
     for v in zs:
-        if abs(v) > 1 - POLYDISC_MARGIN:
+        if not abs(v) <= 1 - POLYDISC_MARGIN:
             raise ValueError(f"|z| = {abs(v)} outside the polydisc guard")
     # tail bound: the first m-1 factors are bounded by Li1 of the moduli,
     # the last index beyond K contributes a geometric tail
     zm = abs(zs[-1])
-    if zm > 0:
-        bound = 1.0
-        for v in zs[:-1]:
-            bound *= -math.log1p(-abs(v)) if abs(v) < 1 else math.inf
-        tail = bound * zm ** (K + 1) / ((K + 1) * (1 - zm))
-        if tail > ctx.tolerance:
-            raise ValueError(
-                f"truncation K={K} insufficient: tail bound {tail:.3e}")
-    prev: List[complex] = [0j] * (K + 1)
-    first = True
+    tail = math.prod(li1(abs(v)) for v in zs[:-1]) * zm ** (K + 1) / ((K + 1) * (1 - zm))
+    if tail > ctx.tolerance:
+        raise ValueError(f"truncation K={K} insufficient: tail bound {tail:.3e}")
+    # prev[k]: the sum so far with last index k, from the empty product 1 at k = 0
+    prev = [1] + [0] * K
     for v in zs:
         cur = [0j] * (K + 1)
         p = 1.0 + 0j
         running = 0j
         for k in range(1, K + 1):
             p *= v
-            if first:
-                cur[k] = p / k
-            else:
-                running += prev[k - 1]
-                cur[k] = p / k * running
+            running += prev[k - 1]
+            cur[k] = p / k * running
         prev = cur
-        first = False
     return sum(prev)
 
 
@@ -111,11 +97,7 @@ def z_from_x(x: Sequence[float]) -> list:
     xs = list(x)
     if any(v == 0 for v in xs):
         raise ValueError("zero entry")
-    out = []
-    for i in range(len(xs) - 1):
-        out.append(xs[i + 1] / xs[i])
-    out.append(1.0 / xs[-1])
-    return out
+    return [b / a for a, b in zip(xs, xs[1:])] + [1.0 / xs[-1]]
 
 
 def x_from_z(z: Sequence[float]) -> list:
@@ -158,15 +140,15 @@ def simplex_integral(x: Sequence[float], ctx: NumericContext = DEFAULT_CTX) -> f
     carried on n = 2q Chebyshev-Lobatto points of [0, 1] for
     q = ctx.quadrature_order.  Each step integrates the degree-(2q - 1)
     interpolant exactly, as the q-point Gauss rule would; the depth-m
-    integral costs O(m q^2) time and O(q^2) memory.  All x_i must avoid
-    [0,1] so the integrand stays smooth on the closed simplex.
+    integral costs O(m q^2) time and O(q^2) memory.  All x_i (no NaN) must
+    lie outside [0,1] so the integrand stays smooth on the closed simplex.
     """
     xs = [float(v) for v in x]
     if not xs:
         raise ValueError("need at least one x")
     for v in xs:
-        if 0.0 <= v <= 1.0:
-            raise ValueError(f"singular integrand: x = {v} lies in [0,1]")
+        if not (v < 0.0 or v > 1.0):
+            raise ValueError(f"singular integrand: x = {v} is not outside [0,1]")
     n = 2 * ctx.quadrature_order
     t = (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) / 2.0
     Q = _integration_matrix(t)
@@ -234,43 +216,26 @@ def eval_topological_sum(S: FormalSum, assignment: Dict[str, float],
     return total
 
 
-def _li11(x: float, y: float, ctx: NumericContext) -> float:
-    return multiple_log_series([x, y], ctx).real
-
-
-def diff_li11_coefficients(x: float, y: float, ctx: NumericContext = DEFAULT_CTX):
+def diff_li11_coefficients(x: float, y: float):
     """Closed-form coefficients of the weight-two differential identity.
 
     d Li_{1,1}(x, y) = A(x, y) dx + B(x, y) dy with
         A = (Li1(y) - Li1(xy)/x) / (1 - x)
         B = Li1(xy) / (1 - y).
-    For small |x| the quotient Li1(xy)/x is evaluated by its series to
-    avoid cancellation; its limit at x = 0 is y, so A(0, y) = Li1(y) - y.
+    Li1 is -log1p(-z), so Li1(xy)/x loses no digits as x -> 0; its limit
+    at x = 0 is y, so A(0, y) = Li1(y) - y.
     """
-    if abs(x) < 0.25:
-        quotient = 0.0
-        p = 1.0  # x^{n-1}
-        for n in range(1, ctx.series_truncation + 1):
-            term = p * y ** n / n
-            quotient += term
-            p *= x
-            if abs(term) < 1e-18:
-                break
-        a = (li1(y).real - quotient) / (1 - x)
-    else:
-        a = (li1(y).real - li1(x * y).real / x) / (1 - x)
-    b = li1(x * y).real / (1 - y)
-    return a, b
+    quotient = y if x == 0 else li1(x * y) / x
+    return (li1(y) - quotient) / (1 - x), li1(x * y) / (1 - y)
 
 
 def check_diffLi(x: float, y: float, h: float = 1e-4,
                  ctx: NumericContext = DEFAULT_CTX) -> float:
-    """Max residual of central finite differences of the series against
-    the closed-form coefficients."""
-    for v in (abs(x) + h, abs(y) + h):
-        if v > 1 - POLYDISC_MARGIN:
-            raise ValueError("perturbed point leaves the polydisc guard")
-    fdx = (_li11(x + h, y, ctx) - _li11(x - h, y, ctx)) / (2 * h)
-    fdy = (_li11(x, y + h, ctx) - _li11(x, y - h, ctx)) / (2 * h)
-    a, b = diff_li11_coefficients(x, y, ctx)
+    """Max residual of central finite differences of the series, which
+    refuses a perturbed point off the polydisc, against the closed form."""
+    def li11(*z):
+        return multiple_log_series(z, ctx).real
+    fdx = (li11(x + h, y) - li11(x - h, y)) / (2 * h)
+    fdy = (li11(x, y + h) - li11(x, y - h)) / (2 * h)
+    a, b = diff_li11_coefficients(x, y)
     return max(abs(fdx - a), abs(fdy - b))

@@ -6,12 +6,14 @@ Tree schema: {"root": "<deco>", "node": N} with N either
 coordinates are exponent maps {"<sym>": exp, ...}; symbol kinds are
 inferred from the u<k>/s<k> naming convention.  Bare-monomial
 coordinates are marked by their 1-based positions in a "plain" array.
+The readers raise ValueError, and nothing else, on malformed input.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import reprlib
 from fractions import Fraction
 
 from .cycle_algebra import Coordinate, CycleTerm, add_cycle, monomial
@@ -22,18 +24,34 @@ from .symbols import deco, sym_from_name
 # ---------------------------------------------------------------------------
 # JSON
 
+# internal node levels a tree may have: about what `json` decodes from a
+# tree file (two containers a level), and far inside the recursion limit
+MAX_TREE_DEPTH = 500
+_COEFF_RE = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # str() of a Fraction
+
+
+def _require(ok: bool, need: str, obj) -> None:
+    if not ok:
+        raise ValueError(f"{need}: {reprlib.repr(obj)}")
+
+
 def _node_to_json(node):
     if isinstance(node, Leaf):
         return {"leaf": node.deco.name}
     return {"children": [_node_to_json(ch) for ch in node.children]}
 
 
-def _node_from_json(obj):
+def _node_from_json(obj, depth=1):
     if isinstance(obj, dict) and isinstance(obj.get("leaf"), str):
         return Leaf(deco(obj["leaf"]))
-    if not isinstance(obj, dict) or not isinstance(obj.get("children"), list):
-        raise ValueError(f"tree node needs a 'leaf' name or a 'children' list: {obj!r}")
-    return Node(tuple(_node_from_json(ch) for ch in obj["children"]))
+    _require(isinstance(obj, dict) and isinstance(obj.get("children"), list),
+             "tree node needs a 'leaf' name or a 'children' list", obj)
+    _require(depth <= MAX_TREE_DEPTH,
+             f"tree nested too deeply, over {MAX_TREE_DEPTH} internal levels", obj)
+    children = []
+    for ch in obj["children"]:  # a loop, not a generator: one frame a level
+        children.append(_node_from_json(ch, depth + 1))
+    return Node(tuple(children))
 
 
 def tree_to_json(T: RDecoTree) -> dict:
@@ -41,8 +59,8 @@ def tree_to_json(T: RDecoTree) -> dict:
 
 
 def tree_from_json(obj) -> RDecoTree:
-    if not isinstance(obj, dict) or not isinstance(obj.get("root"), str) or "node" not in obj:
-        raise ValueError(f"tree needs a 'root' name and a 'node': {obj!r}")
+    _require(isinstance(obj, dict) and isinstance(obj.get("root"), str) and "node" in obj,
+             "tree needs a 'root' name and a 'node'", obj)
     return RDecoTree(deco(obj["root"]), _node_from_json(obj["node"]))
 
 
@@ -51,8 +69,11 @@ def forest_term_to_json(F: ForestTerm) -> dict:
 
 
 def forest_term_from_json(obj) -> ForestTerm:
-    return ForestTerm(tuple(tree_from_json(t) for t in obj["trees"]),
-                      int(obj.get("sign", 1)))
+    _require(isinstance(obj, dict) and isinstance(obj.get("trees"), list),
+             "forest term needs a 'trees' list", obj)
+    sign = obj.get("sign", 1)
+    _require(type(sign) is int and sign in (1, -1), "forest term sign must be 1 or -1", sign)
+    return ForestTerm(tuple(tree_from_json(t) for t in obj["trees"]), sign)
 
 
 def _sum_entries(S: FormalSum, term_key, term_to_json):
@@ -60,6 +81,21 @@ def _sum_entries(S: FormalSum, term_key, term_to_json):
     "coeff" string, made one at a time."""
     for t, c in sorted(S, key=lambda tc: term_key(tc[0])):
         yield dict(term_to_json(t), coeff=str(c))
+
+
+def _sum_from_json(entries, term_from_json, add) -> FormalSum:
+    """``add`` each entry's term at its "coeff", as ``_sum_entries`` writes it."""
+    _require(isinstance(entries, list), "a sum is a list of entries", entries)
+    out = FormalSum()
+    try:
+        for obj in entries:
+            term, coeff = term_from_json(obj), obj.get("coeff", "1")
+            _require(isinstance(coeff, str) and _COEFF_RE.fullmatch(coeff),
+                     "coefficient must be a string p or p/q", coeff)
+            add(out, term, Fraction(coeff))
+    except RecursionError:  # sorting the trees of a forest compares them recursively
+        raise ValueError("trees nested too deeply to sort") from None
+    return out
 
 
 def forest_sum_entries(S: FormalSum):
@@ -71,10 +107,7 @@ def forest_sum_to_json(S: FormalSum) -> list:
 
 
 def forest_sum_from_json(entries) -> FormalSum:
-    out = FormalSum()
-    for obj in entries:
-        add_forest(out, forest_term_from_json(obj), Fraction(obj.get("coeff", 1)))
-    return out
+    return _sum_from_json(entries, forest_term_from_json, add_forest)
 
 
 def cycle_term_to_json(t: CycleTerm) -> dict:
@@ -86,10 +119,18 @@ def cycle_term_to_json(t: CycleTerm) -> dict:
 
 
 def cycle_term_from_json(obj) -> CycleTerm:
-    plain = set(obj.get("plain", ()))
+    _require(isinstance(obj, dict) and isinstance(obj.get("coords"), list),
+             "cycle term needs a 'coords' list", obj)
+    plain = obj.get("plain", [])
+    n = len(obj["coords"])
+    _require(isinstance(plain, list) and all(type(i) is int and 0 < i <= n for i in plain),
+             f"'plain' must list positions 1..{n}", plain)
     coords = []
     for i, cobj in enumerate(obj["coords"], start=1):
-        q = monomial({sym_from_name(name): int(e) for name, e in cobj.items()})
+        _require(isinstance(cobj, dict) and all(isinstance(name, str) and type(e) is int
+                                                for name, e in cobj.items()),
+                 "a coordinate maps symbol names to integer exponents", cobj)
+        q = monomial({sym_from_name(name): e for name, e in cobj.items()})
         coords.append(Coordinate(q, i not in plain))
     return CycleTerm(tuple(coords))
 
@@ -103,10 +144,8 @@ def cycle_sum_to_json(S: FormalSum) -> list:
 
 
 def cycle_sum_from_json(entries) -> FormalSum:
-    out = FormalSum()
-    for obj in entries:
-        add_cycle(out, cycle_term_from_json(obj).coords, Fraction(obj.get("coeff", 1)))
-    return out
+    return _sum_from_json(entries, cycle_term_from_json,
+                          lambda out, t, c: add_cycle(out, t.coords, c))
 
 
 def write_json_list(entries, out) -> None:

@@ -133,6 +133,9 @@ def test_missing_tree_file_is_usage_error(capsys):
     ["verify", "d2", "--count", "-3"],
     ["verify", "all", "--order", "1"],
     ["verify", "all", "--tol", "0"],
+    ["eval", "series", "--x", "nan"],
+    ["eval", "integral", "--x", "2,nan"],
+    ["verify", "all", "--x", "nan"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     assert main(argv) == 2

@@ -55,12 +55,6 @@ def test_phi_maps_nongeneric_input_without_logging(caplog):
     assert not [r for r in caplog.records if r.name.startswith("forest_cycles")]
 
 
-def test_chain_map_on_small_trees():
-    res = checks.chain_map([two_leaf_tree(), left_comb3(), right_comb3()])
-    assert res.passed, res.witness
-    assert res.cases == 3
-
-
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.randoms(use_true_random=False))
 def test_chain_map_and_boundary_squared_on_generic_forests(rng):

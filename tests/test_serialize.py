@@ -1,9 +1,12 @@
+import ast
 import io
 import json
+import random
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +15,7 @@ from forest_cycles import (Coordinate, D, ForestTerm, boundary, checks, d,
                            load_fixture, phi, standard_spec, tau, tree_sum)
 from forest_cycles import serialize as sz
 from forest_cycles.cycle_algebra import cycle_sum
-from forest_cycles.forest_algebra import forest_sum
+from forest_cycles.forest_algebra import edge_count, forest_sum
 from helpers import (bare, csum, generic_forest, hybrid_image, left_comb3, om,
                      two_leaf_tree)
 
@@ -62,6 +65,25 @@ def test_forest_json_round_trip_on_random_forests(rng):
     S = forest_sum([(F, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for F in forests])
     back = sz.forest_sum_from_json(json.loads(json.dumps(sz.forest_sum_to_json(S))))
     assert back == S
+
+
+def test_int_and_fraction_coefficients_give_one_sum():
+    rng = random.Random(4)
+    forests = [checks.random_forest(rng) for _ in range(6)]
+    ints = [rng.randint(-3, 3) for _ in forests]
+    by_int = forest_sum(zip(forests, ints))
+    by_fraction = forest_sum(zip(forests, map(Fraction, ints)))
+    assert by_int == by_fraction
+    assert sz.forest_sum_to_json(by_int) == sz.forest_sum_to_json(by_fraction)
+    assert sz.forest_sum_to_latex(by_int) == sz.forest_sum_to_latex(by_fraction)
+    images = phi(by_int), phi(by_fraction)
+    assert images[0] == images[1]
+    assert sz.cycle_sum_to_json(images[0]) == sz.cycle_sum_to_json(images[1])
+    assert sz.cycle_sum_to_latex(images[0]) == sz.cycle_sum_to_latex(images[1])
+    # a float is stored as the rational it is, not rounded
+    for S in (forest_sum([(forests[0], 0.1)]), tree_sum(left_comb3()).scale(0.1)):
+        (_, c), = S.items()
+        assert type(c) is Fraction and c == Fraction(0.1) != Fraction(1, 10)
 
 
 def test_cycle_term_round_trip_with_plain_marker():
@@ -129,8 +151,102 @@ def test_sym_latex_subscripts():
     assert sz.sym_to_latex("a") == "a"
 
 
+_SOURCES = sorted(Path(forest_cycles.__file__).parent.glob("*.py"))
+
+
 def test_package_sources_compile_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for path in sorted(Path(forest_cycles.__file__).parent.glob("*.py")):
+        for path in _SOURCES:
             compile(path.read_text(), str(path), "exec")
+
+
+def _imports(tree):
+    """(bound name, imported module) for each import of a module body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.module
+
+
+def test_package_imports_are_used_and_only_two_modules_import_fractions():
+    unused, fraction_users = [], set()
+    for path in _SOURCES:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for bound, module in _imports(tree):
+            if path.stem != "__init__" and bound not in used:
+                unused.append(f"{path.stem}: {bound}")
+            if module == "fractions":
+                fraction_users.add(path.stem)
+    assert unused == []
+    # a coefficient's type is decided in FormalSum; only the JSON reader
+    # also parses a rational
+    assert fraction_users == {"formal", "serialize"}
+
+
+def _deep_tree(node, depth):
+    for i in range(depth):
+        node = {"children": [{"leaf": f"x{i}"}, node]}
+    return {"root": "1", "node": node}
+
+
+_READERS = (sz.tree_from_json, sz.forest_term_from_json, sz.forest_sum_from_json,
+            sz.cycle_term_from_json, sz.cycle_sum_from_json)
+
+
+@pytest.mark.parametrize("read, obj", [
+    (sz.forest_term_from_json, {"sign": 1}),
+    (sz.forest_sum_from_json, [3]),
+    (sz.cycle_term_from_json, {"coords": [{"u1": [1]}]}),
+    (sz.cycle_term_from_json, {"coords": [3]}),
+    (sz.cycle_sum_from_json, [{"coords": [{"x1": 1}], "coeff": "1/0"}]),
+    (sz.tree_from_json, _deep_tree({"leaf": "y"}, 3000)),
+    (sz.forest_term_from_json, {"trees": [], "sign": 2}),
+    (sz.forest_term_from_json, {"trees": [], "sign": 0}),
+    (sz.cycle_term_from_json, {"coords": [{"x1": 1}], "plain": [7]}),
+], ids=["no_trees", "number_entry", "list_exponent", "number_coordinate", "zero_denominator",
+        "nested_3000", "sign_2", "sign_0", "plain_out_of_range"])
+def test_readers_refuse_malformed_input_with_value_error(read, obj):
+    with pytest.raises(ValueError):
+        read(obj)
+
+
+def test_tree_reader_takes_the_depth_bound_and_no_more():
+    deepest = _deep_tree({"leaf": "y"}, sz.MAX_TREE_DEPTH)
+    assert edge_count(sz.tree_from_json(deepest)) == 2 * sz.MAX_TREE_DEPTH + 1
+    with pytest.raises(ValueError, match="nested too deeply"):
+        sz.tree_from_json(_deep_tree({"leaf": "y"}, sz.MAX_TREE_DEPTH + 1))
+
+
+_KEYS = ("root", "node", "leaf", "children", "trees", "sign", "coeff", "coords", "plain")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats()
+    | st.sampled_from(["1", "x1", "u1", "s2", "-1/2", "1/0", "1e9"]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_json_values, st.integers(0, 3000) | st.sampled_from(
+    [sz.MAX_TREE_DEPTH, sz.MAX_TREE_DEPTH + 1]))
+def test_json_readers_raise_value_error_and_nothing_else(value, depth):
+    # the value alone, in each slot of each schema, and under deep nesting
+    tree = _deep_tree(value, depth)
+    deep_list = value
+    for _ in range(depth):
+        deep_list = [deep_list]
+    for obj in (value, deep_list, tree, {"root": "1", "node": value},
+                {"trees": [tree, tree], "sign": value}, [{"trees": [tree, tree]}],
+                [{"trees": [tree], "coeff": value}],
+                {"coords": [value, {"x1": deep_list}]}, {"coords": [{"u1": 1}], "plain": value},
+                [{"coords": value, "coeff": deep_list}], [value]):
+        for read in _READERS:
+            try:
+                read(obj)
+            except ValueError:
+                pass
