@@ -54,12 +54,12 @@ def cmd_tau(ns) -> int:
 
 def cmd_phi(ns) -> int:
     if ns.tree_file:
-        try:
-            with open(ns.tree_file) as fh:
-                T = sz.tree_from_json(json.load(fh))
-            S = fc.phi(fa.tree_sum(T))
-        except RecursionError:
-            raise ValueError(f"{ns.tree_file}: tree nested too deeply") from None
+        with open(ns.tree_file) as fh:
+            try:
+                obj = json.load(fh)
+            except RecursionError:  # the decoder nests one call per JSON container
+                raise ValueError(f"{ns.tree_file}: tree nested too deeply") from None
+        S = fc.phi(fa.tree_sum(sz.tree_from_json(obj)))
     else:
         S = fc.phi(tau(_spec(ns)))
     if ns.fmt == "json":

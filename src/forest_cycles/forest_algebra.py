@@ -15,108 +15,130 @@ contraction up to one block swap, whose parity it carries), and
 ``canonical_term`` then adds the Koszul sign of sorting those trees, so
 the product and the differential signs come out of one mechanism.
 
-The tree types hash once, at construction, from the cached hashes of
-their parts, and every node carries the edge count of its subtree, so
-dictionary lookups and edge counts never walk a tree.  Sorting walks
-two trees only when they tie on edge count and root decoration.
+Every tree type is a plain tuple underneath, laid out so that the
+tuple order is the canonical tree order: a tree is (edge count, root
+decoration, top), a leaf (1, decoration) and a node (2, *children,
+(0, edges, depth)).  Hash, equality and order therefore run in C, with
+one level of C recursion per tree level, and every node carries the
+edge count and depth of its subtree, so neither is ever walked.  No
+tree is deeper than ``MAX_TREE_DEPTH`` internal levels, which keeps
+every comparison inside the recursion limit; the walks of this module
+keep their own stacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Optional, Tuple, Union
 
-from .formal import FormalSum, sort_with_parity
+from .formal import FormalSum
 from .symbols import DecoSymbol
 
-
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    deco: DecoSymbol
-    _hash: int = field(init=False, repr=False, compare=False)
-    _edges: ClassVar[int] = 1  # the edge above the leaf
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.deco))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (Leaf, (self.deco,))
-
-    def __lt__(self, other) -> bool:
-        # the shape order: a leaf by its decoration, before every node
-        if type(other) is Leaf:
-            return self.deco.sort_key() < other.deco.sort_key()
-        return True
+# internal vertex levels a tree may have: about what `json` decodes from
+# a tree file (two containers a level), and far inside the recursion limit
+MAX_TREE_DEPTH = 500
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    children: Tuple["TreeNode", ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _edges: int = field(init=False, repr=False, compare=False)  # the edge above and all below
+class Leaf(tuple):
+    """A leaf, (1, decoration): leaves sort by decoration, before every node."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, deco: DecoSymbol):
+        return tuple.__new__(cls, (1, deco))
+
+    deco = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"Leaf(deco={self[1]!r})"
+
+
+class Node(tuple):
+    """An internal vertex, (2, *children, (0, edges, depth)).
+
+    Nodes sort by their children, lexicographically: the closing entry
+    sorts below any child, so a node whose children are a prefix of
+    another's comes first.  ``edges`` counts the edge above the vertex
+    and all below it, ``depth`` the internal levels from this one down;
+    both follow from the children, so they never decide a comparison.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, children: tuple):
         # valency >= 3: one edge up, at least two down
-        if len(self.children) < 2:
+        if len(children) < 2:
             raise ValueError("internal vertex needs at least 2 children")
-        edges = 1
-        for ch in self.children:
-            edges += ch._edges
-        object.__setattr__(self, "_hash", hash(self.children))
-        object.__setattr__(self, "_edges", edges)
+        edges, depth = 1, 0
+        for ch in children:
+            if type(ch) is Node:
+                _, e, h = ch[-1]
+                edges += e
+                if h > depth:
+                    depth = h
+            else:
+                edges += 1
+        if depth >= MAX_TREE_DEPTH:
+            raise ValueError(f"tree nested too deeply, over {MAX_TREE_DEPTH} internal levels")
+        return tuple.__new__(cls, (2, *children, (0, edges, depth + 1)))
 
-    def __hash__(self) -> int:
-        return self._hash
+    children = property(itemgetter(slice(1, -1)))
 
-    def __reduce__(self):
-        return (Node, (self.children,))
+    def __getnewargs__(self):
+        return (self[1:-1],)
 
-    def __lt__(self, other) -> bool:
-        # the shape order: nodes by their children, lexicographically
-        return type(other) is Node and self.children < other.children
+    def __repr__(self) -> str:
+        return f"Node(children={self[1:-1]!r})"
 
 
 TreeNode = Union[Leaf, Node]
 
 
-@dataclass(frozen=True, slots=True)
-class RDecoTree:
-    """Planted plane tree; ``top`` hangs below the root edge."""
-
-    root_deco: DecoSymbol
-    top: TreeNode
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.root_deco, self.top)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (RDecoTree, (self.root_deco, self.top))
+def _edges(node: TreeNode) -> int:
+    """The edge above ``node`` and every edge below it."""
+    return node[-1][1] if type(node) is Node else 1
 
 
-@dataclass(frozen=True, slots=True)
-class ForestTerm:
+class RDecoTree(tuple):
+    """Planted plane tree, (edge count, root decoration, top); ``top``
+    hangs below the root edge.  Trees sort by edge count, then root
+    decoration, then the shape order of the top."""
+
+    __slots__ = ()
+
+    def __new__(cls, root_deco: DecoSymbol, top: TreeNode):
+        return tuple.__new__(cls, (_edges(top), root_deco, top))
+
+    root_deco = property(itemgetter(1))
+    top = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return (self[1], self[2])
+
+    def __repr__(self) -> str:
+        return f"RDecoTree(root_deco={self[1]!r}, top={self[2]!r})"
+
+
+class ForestTerm(tuple):
     """Ordered list of trees with a sign (+1 or -1) relative to canonical
-    orientation."""
+    orientation, as the tuple (trees, sign)."""
 
-    trees: Tuple[RDecoTree, ...]
-    sign: int = 1
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.trees, self.sign)))
+    def __new__(cls, trees: Tuple[RDecoTree, ...], sign: int = 1):
+        return tuple.__new__(cls, (trees, sign))
 
-    def __hash__(self) -> int:
-        return self._hash
+    trees = property(itemgetter(0))
+    sign = property(itemgetter(1))
 
-    def __reduce__(self):
-        return (ForestTerm, (self.trees, self.sign))
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"ForestTerm(trees={self[0]!r}, sign={self[1]!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -128,54 +150,55 @@ def canonical_edge_order(tree: RDecoTree) -> list:
     The root edge is the empty path ().  The edge from the node at path p
     to its j-th child is p + (j,).
     """
-    order = [()]
-
-    def rec(node, path):
-        if isinstance(node, Node):
-            for j, ch in enumerate(node.children):
-                p = path + (j,)
-                order.append(p)
-                rec(ch, p)
-
-    rec(tree.top, ())
+    order = []
+    stack = [((), tree[2])]
+    while stack:
+        path, node = stack.pop()
+        order.append(path)
+        if type(node) is Node:  # push the children last first
+            stack.extend((path + (j,), node[j + 1]) for j in range(len(node) - 3, -1, -1))
     return order
 
 
-def node_at(tree: RDecoTree, path: tuple) -> TreeNode:
-    node = tree.top
+def _path_nodes(tree: RDecoTree, path: tuple) -> list:
+    """The vertices from the top down to the far end of the edge ``path``."""
+    nodes = [tree[2]]
     for j in path:
-        if not isinstance(node, Node) or j >= len(node.children):
+        node = nodes[-1]
+        if type(node) is not Node or not 0 <= j < len(node) - 2:
             raise ValueError(f"invalid edge handle {path!r}")
-        node = node.children[j]
-    return node
+        nodes.append(node[j + 1])
+    return nodes
+
+
+def node_at(tree: RDecoTree, path: tuple) -> TreeNode:
+    return _path_nodes(tree, path)[-1]
 
 
 def edge_count(tree: RDecoTree) -> int:
-    return tree.top._edges
+    return tree[0]
 
 
-def _edge_index(tree: RDecoTree, path: tuple) -> int:
-    """Position of the edge ``path`` in the canonical edge order: each step
-    down passes the edge taken and every edge of the earlier siblings."""
-    k, node = 0, tree.top
-    for j in path:
-        k += 1
-        for ch in node.children[:j]:
-            k += ch._edges
-        node = node.children[j]
+def _edge_index(nodes: list, path: tuple) -> int:
+    """Position of the edge ``path`` in the canonical edge order, from the
+    vertices along it: each step down passes the edge taken and every
+    edge of the earlier siblings."""
+    k = 0
+    for node, j in zip(nodes, path):
+        k += 1 + sum(map(_edges, node[1:j + 1]))
     return k
 
 
 def external_decorations(tree: RDecoTree) -> list:
     """Root decoration plus leaf decorations, in planar order."""
-    out = [tree.root_deco]
-    stack = [tree.top]
+    out = [tree[1]]
+    stack = [tree[2]]
     while stack:
         node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.deco)
+        if type(node) is Leaf:
+            out.append(node[1])
         else:
-            stack.extend(reversed(node.children))
+            stack.extend(node[-2:0:-1])  # the children, last first
     return out
 
 
@@ -187,7 +210,7 @@ def edge_is_internal(tree: RDecoTree, path: tuple) -> bool:
     """True iff both endpoints of the edge are internal vertices."""
     if path == ():
         return False
-    return isinstance(node_at(tree, path), Node)
+    return type(node_at(tree, path)) is Node
 
 
 def grade(F: ForestTerm) -> Tuple[int, int]:
@@ -211,24 +234,19 @@ def is_generic(F: ForestTerm) -> bool:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def tree_sort_key(tree: RDecoTree) -> tuple:
-    """Edge count, root decoration, then the shape order of the top node,
-    which is walked only when two trees tie on the first two."""
-    return (tree.top._edges, tree.root_deco.sort_key(), tree.top)
-
-
-def _is_odd(tree: RDecoTree) -> bool:
-    return tree.top._edges % 2 == 1
-
-
 def _sorted_trees(trees: tuple):
-    """The trees in canonical order and the Koszul sign of sorting them;
-    None if two equal trees of odd degree make the term zero."""
-    trees, ksign = sort_with_parity(trees, tree_sort_key, odd=_is_odd)
-    for a, b in zip(trees, trees[1:]):
-        if a == b and _is_odd(a):
-            return None
-    return trees, ksign
+    """The trees in canonical order and the Koszul sign of sorting them,
+    one sign for each pair of odd-degree trees out of order; None if two
+    equal trees of odd degree make the term zero."""
+    odd = [t for t in trees if t[0] % 2]
+    sign = 1
+    for i, a in enumerate(odd):
+        for b in odd[i + 1:]:
+            if not a < b:
+                if a == b:
+                    return None
+                sign = -sign
+    return tuple(sorted(trees)), sign
 
 
 def canonical_term(F: ForestTerm) -> Optional[ForestTerm]:
@@ -282,25 +300,13 @@ def star(A: FormalSum, B: FormalSum) -> FormalSum:
 # ---------------------------------------------------------------------------
 # contraction
 
-def _splice(node: Node, path: tuple) -> Node:
-    """Replace the Node child at ``path`` by its own children, in place in
-    the planar order."""
-    j = path[0]
-    if len(path) == 1:
-        far = node.children[j]
-        return Node(node.children[:j] + far.children + node.children[j + 1:])
-    return Node(node.children[:j]
-                + (_splice(node.children[j], path[1:]),)
-                + node.children[j + 1:])
-
-
-def _replace(node: TreeNode, path: tuple, new: TreeNode) -> TreeNode:
-    if not path:
-        return new
-    j = path[0]
-    return Node(node.children[:j]
-                + (_replace(node.children[j], path[1:], new),)
-                + node.children[j + 1:])
+def _rebuild(nodes: list, path: tuple, new: tuple) -> Node:
+    """The top vertex with the vertex at the nonempty ``path`` replaced by
+    the vertices ``new``, in its place in the planar order; ``nodes`` are
+    the vertices along ``path`` above the replaced one."""
+    for node, j in zip(reversed(nodes), reversed(path)):
+        new = (Node(node[1:j + 1] + new + node[j + 2:-1]),)
+    return new[0]
 
 
 def contract_components(tree: RDecoTree, path: tuple):
@@ -315,35 +321,38 @@ def contract_components(tree: RDecoTree, path: tuple):
     differential is zero (the differential preserves the leaf count, and
     no nonempty forest has zero edges and one leaf).
     """
-    far = node_at(tree, path)
+    nodes = _path_nodes(tree, path)
+    far = nodes[-1]
+    root_deco = tree[1]
 
     if path == ():
-        if isinstance(far, Leaf):
+        if type(far) is Leaf:
             return None
         # root edge: the root and the top vertex merge into a new root
         # carrying the root decoration; every child is planted there.
-        return tuple(RDecoTree(tree.root_deco, ch) for ch in far.children), 1
+        return tuple(RDecoTree(root_deco, ch) for ch in far[1:-1]), 1
 
-    if isinstance(far, Node):
+    if type(far) is Node:
         # internal edge: splice the far children into the parent list,
         # which keeps every other edge in depth-first order
-        return (RDecoTree(tree.root_deco, _splice(tree.top, path)),), 1
+        return (RDecoTree(root_deco, _rebuild(nodes[:-1], path, far[1:-1])),), 1
 
     # leaf edge: merge the leaf into its parent vertex, which then carries
     # the leaf decoration, and split there.  The component containing the
     # original root keeps it and sees the merged vertex as a leaf; every
     # other branch is planted at the merged vertex.
     q, j = path[:-1], path[-1]
-    lam = far.deco
-    parent = node_at(tree, q)
-    root = RDecoTree(tree.root_deco, _replace(tree.top, q, Leaf(lam)))
-    branches = tuple(RDecoTree(lam, ch)
-                     for k, ch in enumerate(parent.children) if k != j)
+    lam = far[1]
+    parent = nodes[-2]
+    leaf = Leaf(lam)
+    root = RDecoTree(root_deco, _rebuild(nodes[:-2], q, (leaf,)) if q else leaf)
+    branches = tuple(RDecoTree(lam, ch) for ch in parent[1:j + 1] + parent[j + 2:-1])
     # In ``tree`` the ``below`` branch edges come right after the edge q,
     # before the ``after`` edges that follow the subtree of q; listing the
     # root component first moves the branch edges past those.
-    after = edge_count(tree) - parent._edges - _edge_index(tree, q)
-    below = parent._edges - 1 - far._edges
+    edges = parent[-1][1]
+    after = tree[0] - edges - _edge_index(nodes, q)
+    below = edges - 2  # the edge q and the leaf edge are not branch edges
     return (root,) + branches, (-1) ** (after * below)
 
 
@@ -394,14 +403,11 @@ def contract(T: RDecoTree, e: tuple) -> Optional[ForestTerm]:
     return canonical_term(ForestTerm(comps, sign * (-1) ** order.index(e)))
 
 
-def d_term(F: ForestTerm) -> FormalSum:
-    out = FormalSum()
-    for _, _, result, coeff in d_contributions(F):
-        if result is not None:
-            out.add_term(result, coeff)
-    return out
-
-
 def d(S: FormalSum) -> FormalSum:
     """The forest differential: signed sum of one-edge contractions."""
-    return S.bind(d_term)
+    out = FormalSum()
+    for F, c in S:
+        for _, _, result, coeff in d_contributions(F):
+            if result is not None:
+                out.add_term(result, c * coeff)
+    return out

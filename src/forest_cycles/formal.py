@@ -115,26 +115,3 @@ def perm_parity(perm) -> int:
             sign = -sign
     return sign
 
-
-def sort_with_parity(items, key, odd=None) -> Tuple[tuple, int]:
-    """Stable sort by ``key``, with the sign of the reordering.
-
-    The sign is the parity of the permutation restricted to the items
-    for which ``odd`` holds (all items when ``odd`` is None): every
-    transposition of two odd items costs a sign, which is the Koszul
-    rule for graded factors.
-    """
-    items = tuple(items)
-    if len(items) < 2:
-        return items, 1
-    keys = [key(x) for x in items]
-    order = sorted(range(len(items)), key=keys.__getitem__)
-    if order == list(range(len(items))):
-        return items, 1  # about half the canonicalization inputs arrive in order
-    if odd is None:
-        perm = order
-    else:
-        odd_order = [i for i in order if odd(items[i])]
-        rank = {i: r for r, i in enumerate(sorted(odd_order))}
-        perm = [rank[i] for i in odd_order]
-    return tuple(map(items.__getitem__, order)), perm_parity(perm)

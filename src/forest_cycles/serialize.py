@@ -17,16 +17,13 @@ import reprlib
 from fractions import Fraction
 
 from .cycle_algebra import Coordinate, CycleTerm, add_cycle, monomial
-from .forest_algebra import ForestTerm, Leaf, Node, RDecoTree, add_forest
+from .forest_algebra import MAX_TREE_DEPTH, ForestTerm, Leaf, Node, RDecoTree, add_forest
 from .formal import FormalSum
 from .symbols import deco, sym_from_name
 
 # ---------------------------------------------------------------------------
 # JSON
 
-# internal node levels a tree may have: about what `json` decodes from a
-# tree file (two containers a level), and far inside the recursion limit
-MAX_TREE_DEPTH = 500
 _COEFF_RE = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # str() of a Fraction
 
 
@@ -87,14 +84,11 @@ def _sum_from_json(entries, term_from_json, add) -> FormalSum:
     """``add`` each entry's term at its "coeff", as ``_sum_entries`` writes it."""
     _require(isinstance(entries, list), "a sum is a list of entries", entries)
     out = FormalSum()
-    try:
-        for obj in entries:
-            term, coeff = term_from_json(obj), obj.get("coeff", "1")
-            _require(isinstance(coeff, str) and _COEFF_RE.fullmatch(coeff),
-                     "coefficient must be a string p or p/q", coeff)
-            add(out, term, Fraction(coeff))
-    except RecursionError:  # sorting the trees of a forest compares them recursively
-        raise ValueError("trees nested too deeply to sort") from None
+    for obj in entries:
+        term, coeff = term_from_json(obj), obj.get("coeff", "1")
+        _require(isinstance(coeff, str) and _COEFF_RE.fullmatch(coeff),
+                 "coefficient must be a string p or p/q", coeff)
+        add(out, term, Fraction(coeff))
     return out
 
 

@@ -4,13 +4,13 @@ Two separate alphabets are in play.  Trees carry decorations on their
 external vertices (``DecoSymbol``), while cycle coordinates are built
 from multiplicative symbols (``Sym``) whose kind separates fixed
 constants from algebraic parameters and topological simplex variables.
-A ``Sym`` is a plain tuple underneath, so the cycle layer hashes,
-compares and sorts symbols at native-tuple speed.
+Both are plain tuples underneath, so the forest and cycle layers hash,
+compare and sort symbols at native-tuple speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
 from operator import itemgetter
 
 KIND_CONST = "const"
@@ -22,31 +22,31 @@ RANK_CONST, RANK_PARAM, RANK_TOP = 0, 1, 2
 KIND_RANK = {KIND_CONST: RANK_CONST, KIND_PARAM: RANK_PARAM, KIND_TOP: RANK_TOP}
 
 
-@dataclass(frozen=True, slots=True)
-class DecoSymbol:
+class DecoSymbol(tuple):
     """Decoration attached to an external vertex of a planted tree.
 
     Exactly one decoration per session is the distinguished unit; it
-    sorts before every other decoration.  The hash is computed once, at
-    construction, and left out of the pickle (a name's hash differs
-    between processes).
+    sorts before every other decoration.  A decoration is the tuple
+    (0 for the unit else 1, name), so its hash, equality and order are
+    the tuple's and run in C.
     """
 
-    name: str
-    is_unit: bool = False
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.is_unit)))
+    def __new__(cls, name: str, is_unit: bool = False):
+        return tuple.__new__(cls, (0 if is_unit else 1, name))
 
-    def __hash__(self) -> int:
-        return self._hash
+    name = property(itemgetter(1))
 
-    def __reduce__(self):
-        return (DecoSymbol, (self.name, self.is_unit))
+    @property
+    def is_unit(self) -> bool:
+        return self[0] == 0
 
-    def sort_key(self) -> tuple:
-        return (0 if self.is_unit else 1, self.name)
+    def __getnewargs__(self):
+        return (self.name, self.is_unit)
+
+    def __repr__(self) -> str:
+        return f"DecoSymbol(name={self.name!r}, is_unit={self.is_unit!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -111,9 +111,18 @@ def topological(i: int) -> Sym:
     return Sym(KIND_TOP, f"s{i}", i)
 
 
+_VARIABLE_NAME = re.compile(r"[us][1-9][0-9]*")  # how parameter and topological write a name
+
+
 def sym_from_name(name: str) -> Sym:
-    """Infer the kind from the u<k>/s<k> naming convention (JSON input)."""
-    if len(name) > 1 and name[0] in "us" and name[1:].isdigit():
+    """Infer the kind from the u<k>/s<k> naming convention (JSON input).
+
+    Any other name is a constant, except one that reads as u or s and
+    digits but is not how a variable is written ("u07", "s0"), which is
+    refused."""
+    if _VARIABLE_NAME.fullmatch(name):
         i = int(name[1:])
         return parameter(i) if name[0] == "u" else topological(i)
+    if name[:1] in ("u", "s") and name[1:].isdigit():
+        raise ValueError(f"symbol {name!r} is not a variable name u<k> or s<k>, k from 1")
     return constant(name)

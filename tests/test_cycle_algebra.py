@@ -1,5 +1,4 @@
-import random
-from itertools import combinations, count
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,7 @@ from forest_cycles import (OutOfClassError, boundary, checks, concat,
                            standard_spec, tau, tree_sum)
 from forest_cycles.cycle_algebra import (admissibility_violation, cycle_sum,
                                          face_outcome, unit_sum)
-from forest_cycles.formal import FormalSum, sort_with_parity
+from forest_cycles.formal import FormalSum
 from helpers import bare, csum, ct, generic_tree, om
 
 
@@ -215,17 +214,3 @@ def test_formal_sum_algebra():
     assert (A + A) == A.scale(2)
     assert len(A) == 1
     assert not FormalSum().terms()
-
-
-def test_sort_with_parity_counts_odd_inversions():
-    rng = random.Random(5)
-    for _ in range(200):
-        # (key, degree) pairs; equal keys must keep their order
-        items = [(rng.randrange(4), rng.randrange(3)) for _ in range(rng.randrange(9))]
-        got, sign = sort_with_parity(items, key=lambda it: it[0],
-                                     odd=lambda it: it[1] % 2 == 1)
-        assert list(got) == sorted(items, key=lambda it: it[0])
-        inversions = [(a, b) for a, b in combinations(items, 2) if a[0] > b[0]]
-        odd_odd = sum(1 for a, b in inversions if a[1] % 2 and b[1] % 2)
-        assert sign == (-1) ** odd_odd
-        assert sort_with_parity(items, key=lambda it: it[0])[1] == (-1) ** len(inversions)

@@ -5,7 +5,7 @@ import pytest
 from forest_cycles import (canonical_edge_order, checks, contract, d, grade,
                            is_generic, is_generic_tree, star, tree_sum)
 from forest_cycles.checks import random_forest
-from forest_cycles.forest_algebra import (canonical_term, edge_count,
+from forest_cycles.forest_algebra import (MAX_TREE_DEPTH, canonical_term, edge_count,
                                           edge_is_internal, forest_sum,
                                           leaf_count, node_at)
 from helpers import forest, left_comb3, lf, nd, tr, two_leaf_tree
@@ -136,3 +136,30 @@ def test_grade_additive_under_star():
     prod = star(A, B)
     (F, _), = prod.items()
     assert grade(F) == (4, 3)
+
+
+def _chain(depth, bottom):
+    """A unit-rooted chain of ``depth`` internal levels, a leaf to the left
+    of each, whose last leaf is ``bottom``: chains of one depth tie on
+    every level but the last."""
+    node = nd(lf("x1"), lf(bottom))
+    for _ in range(depth - 1):
+        node = nd(lf("x1"), node)
+    return tr("1", node)
+
+
+def test_tied_chains_at_the_depth_bound_go_through_the_forest_layer():
+    a, b = _chain(MAX_TREE_DEPTH, "y"), _chain(MAX_TREE_DEPTH, "z")
+    assert edge_count(a) == 2 * MAX_TREE_DEPTH + 1  # odd, so they anticommute
+    S = forest_sum([(forest(b, a), 1), (forest(a, a), 1)])
+    assert list(S) == [(forest(a, b), -1)]
+    # d(a * b) = d(a) * b - a * d(b): forest_sum, d and star on both chains
+    res = checks.star_leibniz([(forest(a), forest(b))])
+    assert res.passed, res.witness
+
+
+def test_tree_over_the_depth_bound_is_refused():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        _chain(1000, "y")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        _chain(MAX_TREE_DEPTH + 1, "y")

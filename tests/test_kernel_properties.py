@@ -8,12 +8,15 @@ operations that are not monomial arithmetic must not leak through."""
 
 import os
 import pickle
+import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import forest_cycles
@@ -152,14 +155,18 @@ def _reference_edge_count(node) -> int:
     return 1 + sum(_reference_edge_count(ch) for ch in node.children)
 
 
+def _reference_deco_key(d) -> tuple:
+    return (0 if d.is_unit else 1, d.name)
+
+
 def _reference_node_key(node) -> tuple:
     if isinstance(node, fa.Leaf):
-        return (0, node.deco.sort_key())
+        return (0, _reference_deco_key(node.deco))
     return (1,) + tuple(_reference_node_key(ch) for ch in node.children)
 
 
 def _reference_tree_key(tree) -> tuple:
-    return (_reference_edge_count(tree.top), tree.root_deco.sort_key(),
+    return (_reference_edge_count(tree.top), _reference_deco_key(tree.root_deco),
             _reference_node_key(tree.top))
 
 
@@ -197,10 +204,43 @@ def test_edge_count_and_leaf_contraction_match_edge_listing(tree):
                 _reference_leaf_contraction(tree, path)
 
 
+def _top(*children):
+    return fa.Node(tuple(fa.Leaf(deco(ch)) if isinstance(ch, str) else ch for ch in children))
+
+
+# equal edge counts, and the first child of one is a prefix of the other's
+PREFIX_TIE = [fa.RDecoTree(UNIT, _top(_top("x1", "x2", "x3"), _top("x4", "x1"))),
+              fa.RDecoTree(UNIT, _top(_top("x1", "x2"), _top("x3", "x4", "x1")))]
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.lists(trees, max_size=6))
+@example(PREFIX_TIE)
 def test_tree_order_matches_nested_key(items):
-    assert sorted(items, key=fa.tree_sort_key) == sorted(items, key=_reference_tree_key)
+    assert sorted(items) == sorted(items, key=_reference_tree_key)
+    for x in items:
+        for y in items:
+            assert (x == y) == (_reference_tree_key(x) == _reference_tree_key(y))
+            assert (x == y) <= (hash(x) == hash(y))
+
+
+def test_sorted_trees_counts_odd_inversions():
+    rng = random.Random(5)
+    outcomes = Counter()
+    for _ in range(300):
+        # few names and small trees, so trees tie and odd ones repeat
+        items = tuple(_random_tree(rng, 4, POOL[:2]) for _ in range(rng.randrange(7)))
+        odd = [T for T in items if _reference_edge_count(T.top) % 2]
+        got = fa._sorted_trees(items)
+        if any(a == b for a, b in combinations(odd, 2)):
+            assert got is None
+            outcomes["zero"] += 1
+            continue
+        inversions = sum(1 for a, b in combinations(odd, 2)
+                         if _reference_tree_key(a) > _reference_tree_key(b))
+        assert got == (tuple(sorted(items, key=_reference_tree_key)), (-1) ** inversions)
+        outcomes[got[1]] += 1
+    assert min(outcomes[k] for k in ("zero", 1, -1)) > 30
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -234,6 +274,24 @@ def test_unpickled_forest_hashes_like_a_local_one():
     back, x3 = pickle.loads(blob)
     assert {back: 1}.get(F) == 1
     assert {x3: 1}.get(deco("x3")) == 1
+
+
+def test_forest_values_are_plain_tuples_compared_in_c():
+    for cls in (DecoSymbol, fa.Leaf, fa.Node, fa.RDecoTree, fa.ForestTerm):
+        assert issubclass(cls, tuple) and cls.__slots__ == (), cls
+        assert not {"__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
+                    "__hash__"} & set(vars(cls)), cls
+
+
+def test_forest_term_repr_is_pinned():
+    # the CLI and the JSON writer order forest terms by this text
+    F = fa.ForestTerm((fa.RDecoTree(UNIT, fa.Node((
+        fa.Leaf(deco("x1")), fa.Node((fa.Leaf(deco("x2")), fa.Leaf(deco("x3"))))))),), -1)
+    assert repr(F) == (
+        "ForestTerm(trees=(RDecoTree(root_deco=DecoSymbol(name='1', is_unit=True), "
+        "top=Node(children=(Leaf(deco=DecoSymbol(name='x1', is_unit=False)), "
+        "Node(children=(Leaf(deco=DecoSymbol(name='x2', is_unit=False)), "
+        "Leaf(deco=DecoSymbol(name='x3', is_unit=False))))))),), sign=-1)")
 
 
 def test_decoration_is_slotted_and_compares_by_name_and_unit():

@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import random
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from forest_cycles import (Coordinate, D, ForestTerm, boundary, checks, d,
 from forest_cycles import serialize as sz
 from forest_cycles.cycle_algebra import cycle_sum
 from forest_cycles.forest_algebra import edge_count, forest_sum
+from forest_cycles.symbols import constant, parameter, sym_from_name, topological
 from helpers import (bare, csum, generic_forest, hybrid_image, left_comb3, om,
                      two_leaf_tree)
 
@@ -220,6 +222,17 @@ def test_tree_reader_takes_the_depth_bound_and_no_more():
     assert edge_count(sz.tree_from_json(deepest)) == 2 * sz.MAX_TREE_DEPTH + 1
     with pytest.raises(ValueError, match="nested too deeply"):
         sz.tree_from_json(_deep_tree({"leaf": "y"}, sz.MAX_TREE_DEPTH + 1))
+
+
+@pytest.mark.parametrize("name", ["u07", "s0", "u\u0663", "s\u00b2"])
+def test_cycle_reader_refuses_variable_names_the_writer_never_makes(name):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        sz.cycle_term_from_json({"coords": [{name: 1}]})
+
+
+def test_variable_names_read_as_written():
+    assert sym_from_name("u10") == parameter(10) and sym_from_name("s3") == topological(3)
+    assert sym_from_name("u") == constant("u") and sym_from_name("x07") == constant("x07")
 
 
 _KEYS = ("root", "node", "leaf", "children", "trees", "sign", "coeff", "coords", "plain")
