@@ -119,7 +119,7 @@ def _suite_admissibility(ns) -> bool:
 
 def _suite_bounding(ns) -> bool:
     ok = True
-    for name in [ns.fixture] if ns.fixture else ["double_log", "triple_log"]:
+    for name in [ns.fixture] if ns.fixture else hy.FIXTURES:
         chain, target, _meta = hy.load_fixture(name)
         res = checks.bounding([(name, chain, target)])
         ok = _report(f"fixture {name}", res,
@@ -134,7 +134,7 @@ def _suite_numeric(ns) -> bool:
         print(f"integral {value:.12f} vs series {series:.12f} "
               f"(signed diff {diff:.2e}): {'pass' if diff < ns.tol else 'FAIL'}")
         ok = ok and diff < ns.tol
-    for name in ("double_log", "triple_log"):
+    for name in hy.FIXTURES:
         value, expected, gap = checks.fixture_integral(name, ns.ctx)
         good = gap < ns.tol
         print(f"fixture {name} topological integral {value:.10f} "
@@ -217,7 +217,7 @@ def _parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=[*_SUITES, "all"])
     p_ver.add_argument("--m", type=int, default=5)
-    p_ver.add_argument("--fixture", choices=("double_log", "triple_log"), default=None)
+    p_ver.add_argument("--fixture", choices=hy.FIXTURES, default=None)
     p_ver.add_argument("--x", dest="xs", type=str, default="")
     p_ver.add_argument("--tol", type=float, default=1e-6)
     p_ver.add_argument("--seed", type=int, default=0)

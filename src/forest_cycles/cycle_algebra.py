@@ -31,9 +31,8 @@ The values below a term are plain tuples underneath, so they are built,
 hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
 entry is its kind rank, which the hot loops test in place of the kind
 name.  A ``Monomial`` is the tuple of its (symbol, exponent) pairs in
-symbol order, so a product is one merge of two sorted runs and a power
-scales the exponents and keeps their order; no Python key function is
-called.  A ``Coordinate`` is the tuple (q, one_minus), so coordinates
+symbol order, so a product is one merge of two sorted runs and no
+Python key function is called.  A ``Coordinate`` is the tuple (q, one_minus), so coordinates
 sort by their exponent pairs and then by shape, which is the order of
 the canonical form.  ``normalize`` and the faces build both with
 ``tuple.__new__`` and no Python ``__init__``.  A ``CycleTerm`` is a
@@ -108,13 +107,6 @@ class Monomial(tuple):
         if self.is_one:
             return other
         return _product(list(self), other)
-
-    def __pow__(self, k: int) -> "Monomial":
-        if k == 1:
-            return self
-        if k == 0:
-            return ONE
-        return _new(Monomial, [(s, e * k) for s, e in self])
 
     def rename(self, mapping: Dict[Sym, Sym]) -> "Monomial":
         """Rename symbols by a mapping that is one-to-one on the symbols of

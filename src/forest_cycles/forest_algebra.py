@@ -12,7 +12,7 @@ planar order, recursively), concatenated over the trees of a forest in
 their canonical sorted order.  A product or a contraction first lists
 its trees in an order whose edges follow the inherited edge order (a
 contraction up to one block swap, whose parity it carries), and
-``canonical_term`` then adds the Koszul sign of sorting those trees, so
+``_sorted_trees`` then adds the Koszul sign of sorting those trees, so
 the product and the differential signs come out of one mechanism.
 
 Every tree type is a plain tuple underneath, laid out so that the
@@ -22,8 +22,9 @@ decoration, top), a leaf (1, decoration) and a node (2, *children,
 one level of C recursion per tree level, and every node carries the
 edge count and depth of its subtree, so neither is ever walked.  No
 tree is deeper than ``MAX_TREE_DEPTH`` internal levels, which keeps
-every comparison inside the recursion limit; the walks of this module
-keep their own stacks.
+every comparison inside the recursion limit.  ``flatten``, with a stack
+of its own, is the one walk of a tree: the edge order, and so the
+contraction signs and the coordinates of ``phi``, all come from it.
 """
 
 from __future__ import annotations
@@ -91,7 +92,13 @@ class Node(tuple):
         return (self[1:-1],)
 
     def __repr__(self) -> str:
-        return f"Node(children={self[1:-1]!r})"
+        out = []
+        for x in flatten(self):
+            if type(x) is tuple:  # a closing entry takes its last child's ", "
+                out[-1:] = "))", ", "
+            else:
+                out += ("Node(children=(",) if type(x) is int else (repr(x), ", ")
+        return "".join(out[:-1])
 
 
 TreeNode = Union[Leaf, Node]
@@ -144,19 +151,36 @@ class ForestTerm(tuple):
 # ---------------------------------------------------------------------------
 # edges and traversal
 
-def canonical_edge_order(tree: RDecoTree) -> list:
-    """Depth-first edge listing; an edge is the path of its far vertex.
-
-    The root edge is the empty path ().  The edge from the node at path p
-    to its j-th child is p + (j,).
-    """
-    order = []
-    stack = [((), tree[2])]
+def flatten(node: TreeNode):
+    """The node tuple flattened, in preorder with each node's end marked:
+    a leaf yields itself, a node yields 2, then the entries of its
+    children, then its closing entry (0, edges, depth).  Each leaf and
+    each 2 is the far vertex of one edge, in canonical edge order."""
+    stack = [iter((node,))]
     while stack:
-        path, node = stack.pop()
-        order.append(path)
-        if type(node) is Node:  # push the children last first
-            stack.extend((path + (j,), node[j + 1]) for j in range(len(node) - 3, -1, -1))
+        for x in stack[-1]:
+            if type(x) is Node:  # its own entries: 2, the children, the closing
+                stack.append(iter(x))
+                break
+            yield x
+        else:
+            stack.pop()
+
+
+def canonical_edge_order(tree: RDecoTree) -> list:
+    """Depth-first edge listing; an edge is the path of its far vertex:
+    () for the root edge, p + (j,) from the node at p to its j-th child."""
+    entries = flatten(tree[2])
+    next(entries)  # the top vertex, the far end of the root edge
+    order, here = [()], [-1]  # here: the path of the vertex last listed
+    for x in entries:
+        if type(x) is tuple:  # a closing entry: back to its node
+            here.pop()
+        else:
+            here[-1] += 1
+            order.append(tuple(here))
+            if type(x) is int:  # a node: its first child is next
+                here.append(-1)
     return order
 
 
@@ -191,15 +215,7 @@ def _edge_index(nodes: list, path: tuple) -> int:
 
 def external_decorations(tree: RDecoTree) -> list:
     """Root decoration plus leaf decorations, in planar order."""
-    out = [tree[1]]
-    stack = [tree[2]]
-    while stack:
-        node = stack.pop()
-        if type(node) is Leaf:
-            out.append(node[1])
-        else:
-            stack.extend(node[-2:0:-1])  # the children, last first
-    return out
+    return [tree[1]] + [x[1] for x in flatten(tree[2]) if type(x) is Leaf]
 
 
 def leaf_count(tree: RDecoTree) -> int:
@@ -208,9 +224,7 @@ def leaf_count(tree: RDecoTree) -> int:
 
 def edge_is_internal(tree: RDecoTree, path: tuple) -> bool:
     """True iff both endpoints of the edge are internal vertices."""
-    if path == ():
-        return False
-    return type(node_at(tree, path)) is Node
+    return path != () and type(node_at(tree, path)) is Node
 
 
 def grade(F: ForestTerm) -> Tuple[int, int]:
@@ -225,9 +239,7 @@ def is_generic_tree(T: RDecoTree) -> bool:
 
 def is_generic(F: ForestTerm) -> bool:
     """Joint distinctness of all external decorations across the forest."""
-    decos = []
-    for t in F.trees:
-        decos.extend(external_decorations(t))
+    decos = [x for t in F.trees for x in external_decorations(t)]
     return len(decos) == len(set(decos))
 
 
@@ -247,16 +259,6 @@ def _sorted_trees(trees: tuple):
                     return None
                 sign = -sign
     return tuple(sorted(trees)), sign
-
-
-def canonical_term(F: ForestTerm) -> Optional[ForestTerm]:
-    """Sorted-tree representative with the sign folded in; None if the
-    term is zero (two equal trees of odd degree)."""
-    cut = _sorted_trees(F.trees)
-    if cut is None:
-        return None
-    trees, ksign = cut
-    return ForestTerm(trees, F.sign * ksign)
 
 
 def add_forest(out: FormalSum, F: ForestTerm, coeff) -> None:
@@ -361,7 +363,7 @@ def d_contributions(F: ForestTerm):
 
     The edges are taken in the orientation order of ``F``: its trees as
     listed, each in canonical edge order.  Contracting the k-th edge
-    carries (-1)^k, and ``canonical_term`` adds the Koszul sign of sorting
+    carries (-1)^k, and ``_sorted_trees`` adds the Koszul sign of sorting
     the resulting trees.  Yields (tree_index, edge_path, result, coeff)
     with result either a canonical ForestTerm of sign +1 paired with the
     int coeff +1 or -1, or None paired with 0 for contributions that
@@ -385,22 +387,13 @@ def d_contributions(F: ForestTerm):
 
 
 def contract(T: RDecoTree, e: tuple) -> Optional[ForestTerm]:
-    """Contract one edge of a single tree.
-
-    The sign is the parity of moving the contracted edge to the front of
-    the canonical order and matching what remains against the canonical
-    order of the result.  Returns None for the two kinds of vanishing
-    result: degenerate contraction (single-edge tree) and equal odd-degree
-    component trees.
-    """
-    order = canonical_edge_order(T)
-    if e not in order:
-        raise ValueError(f"invalid edge handle {e!r}")
-    cut = contract_components(T, e)
-    if cut is None:
-        return None
-    comps, sign = cut
-    return canonical_term(ForestTerm(comps, sign * (-1) ** order.index(e)))
+    """Contract one edge of a single tree: the entry for ``e`` of
+    ``d_contributions`` as a canonical term carrying its sign, or None
+    where it vanishes (a single-edge tree, or equal odd-degree trees)."""
+    for _, p, result, coeff in d_contributions(ForestTerm((T,))):
+        if p == e:
+            return None if result is None else ForestTerm(result[0], coeff)
+    raise ValueError(f"invalid edge handle {e!r}")
 
 
 def d(S: FormalSum) -> FormalSum:

@@ -5,9 +5,9 @@ numbered by depth-first order so output is reproducible.  Every edge
 contributes the coordinate 1 - y_near/y_far, where near is the endpoint
 closer to the root and y is the decoration (for external vertices, with
 the unit contributing no factor) or the parameter (for internal ones).
-One preorder walk per tree lists the edges in canonical edge order,
-numbers each internal vertex as its edge is listed, and writes each
-ratio as a monomial of at most two symbols in symbol order.
+The edges come in canonical edge order from ``forest_algebra.flatten``,
+the one walk of a tree; each internal vertex is numbered as its edge is
+listed, and each ratio is a monomial of at most two symbols in order.
 The ratio orientation is fixed by the two classical displayed cycles
 this map must reproduce: the weight-two cycle [1-1/u, 1-u/x1, 1-u/x2]
 and its weight-three analogue.
@@ -16,7 +16,7 @@ and its weight-three analogue.
 from __future__ import annotations
 
 from .cycle_algebra import Coordinate, CycleTerm, FormalSum, Monomial, ONE, add_cycle
-from .forest_algebra import Leaf, RDecoTree
+from .forest_algebra import Leaf, RDecoTree, flatten
 from .symbols import constant, parameter
 
 
@@ -39,25 +39,20 @@ def _tree_coords(tree: RDecoTree, first_param: int):
     """The edge coordinates of one tree in canonical edge order, and the
     next free parameter number.
 
-    One preorder walk lists the edges in that order; the far vertex of
-    an edge, when internal, takes the next parameter as its edge is
-    listed, which numbers the internal vertices in preorder.
+    ``flatten`` lists the far vertices in that order.  An internal one
+    takes the next parameter, which numbers them in preorder, and is the
+    near vertex of the edges below it until its closing entry.
     """
-    coords = []
-    next_param = first_param
-
-    def walk(near, node):
-        nonlocal next_param
-        if isinstance(node, Leaf):
-            coords.append(Coordinate(_edge_monomial(near, _deco_symbol(node.deco)), True))
-            return
-        far = parameter(next_param)
-        next_param += 1
-        coords.append(Coordinate(_edge_monomial(near, far), True))
-        for ch in node.children:
-            walk(far, ch)
-
-    walk(_deco_symbol(tree.root_deco), tree.top)
+    coords, nears, next_param = [], [_deco_symbol(tree[1])], first_param
+    for x in flatten(tree[2]):
+        if type(x) is Leaf:
+            coords.append(Coordinate(_edge_monomial(nears[-1], _deco_symbol(x[1])), True))
+        elif type(x) is int:  # a node opens
+            nears.append(parameter(next_param))
+            next_param += 1
+            coords.append(Coordinate(_edge_monomial(nears[-2], nears[-1]), True))
+        else:  # a node closes
+            nears.pop()
     return coords, next_param
 
 

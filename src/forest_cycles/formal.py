@@ -66,9 +66,6 @@ class FormalSum:
             out.add_term(t, -c)
         return out
 
-    def __neg__(self) -> "FormalSum":
-        return self.scale(-1)
-
     def scale(self, k) -> "FormalSum":
         if type(k) not in _EXACT:
             k = Fraction(k)

@@ -166,13 +166,16 @@ def topological_part(chain: FormalSum) -> FormalSum:
 # ---------------------------------------------------------------------------
 # fixtures
 
+FIXTURES = ("double_log", "triple_log")  # the shipped bounding fixtures
+
+
 def load_fixture(name: str):
     """Load a shipped bounding fixture.
 
     Returns (chain, target, meta); meta holds the numeric evaluation
     point and the tree-sum cross-check data.
     """
-    if name not in ("double_log", "triple_log"):
+    if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}")
     data = json.loads(resources.files("forest_cycles")
                       .joinpath("fixtures").joinpath(f"{name}.json").read_text())

@@ -33,9 +33,12 @@ def _require(ok: bool, need: str, obj) -> None:
 
 
 def _node_to_json(node):
-    if isinstance(node, Leaf):
+    if type(node) is Leaf:
         return {"leaf": node.deco.name}
-    return {"children": [_node_to_json(ch) for ch in node.children]}
+    children = []
+    for ch in node.children:  # a loop, not a comprehension: one frame a level
+        children.append(_node_to_json(ch))
+    return {"children": children}
 
 
 def _node_from_json(obj, depth=1):
@@ -212,9 +215,12 @@ def cycle_sum_to_latex(S: FormalSum) -> str:
 
 
 def _node_to_latex(node) -> str:
-    if isinstance(node, Leaf):
+    if type(node) is Leaf:
         return sym_to_latex(node.deco.name)
-    return "(" + "\\," .join(_node_to_latex(ch) for ch in node.children) + ")"
+    parts = []
+    for ch in node.children:  # a loop, not a generator: one frame a level
+        parts.append(_node_to_latex(ch))
+    return "(" + "\\,".join(parts) + ")"
 
 
 def tree_to_latex(T: RDecoTree) -> str:

@@ -73,15 +73,6 @@ def test_product_matches_dict_reference(pair):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(exponent_dicts, st.integers(-3, 3))
-def test_power_matches_dict_reference(a, k):
-    m = monomial(a)
-    assert (m ** k).exps == _reference_pairs({s: e * k for s, e in a.items()})
-    assert m ** 1 is m
-    assert m ** 0 == ONE
-
-
-@settings(max_examples=100, deadline=None, database=None)
 @given(st.lists(syms, max_size=12))
 def test_symbol_order_is_kind_rank_index_name(items):
     assert sorted(items) == sorted(items, key=_reference_sort_key)
@@ -95,7 +86,8 @@ def test_only_monomial_arithmetic_is_defined():
     c = Coordinate(m)
     for v in (m, ONE, c):
         for op in (lambda: v + v, lambda: v + (), lambda: () + v,
-                   lambda: v * 2, lambda: 2 * v, lambda: v * 0, lambda: v * (a,)):
+                   lambda: v * 2, lambda: 2 * v, lambda: v * 0, lambda: v * (a,),
+                   lambda: v ** 2):
             with pytest.raises(TypeError):
                 op()
     with pytest.raises(TypeError):
@@ -330,7 +322,7 @@ def _reference_tree_coords(tree, first_param: int):
 
     rec(tree.top, ())
     coords = [Coordinate((value(tree.root_deco) if path == () else values[path[:-1]])
-                         * values[path] ** -1, True)
+                         * monomial({s: -e for s, e in values[path].exps}), True)
               for path in fa.canonical_edge_order(tree)]
     return coords, counter[0]
 

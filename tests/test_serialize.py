@@ -224,6 +224,27 @@ def test_tree_reader_takes_the_depth_bound_and_no_more():
         sz.tree_from_json(_deep_tree({"leaf": "y"}, sz.MAX_TREE_DEPTH + 1))
 
 
+def test_writers_take_a_tree_at_the_depth_bound():
+    # json.dumps and json.loads recurse two containers a level, so the
+    # dicts are read back here, not the text
+    depth = sz.MAX_TREE_DEPTH
+    T = sz.tree_from_json(_deep_tree({"leaf": "y"}, depth))
+    S = tree_sum(T)
+    assert repr(T) == ("RDecoTree(root_deco=DecoSymbol(name='1', is_unit=True), top="
+                       + "".join(f"Node(children=(Leaf(deco=DecoSymbol(name='x{i}', "
+                                 "is_unit=False)), " for i in reversed(range(depth)))
+                       + "Leaf(deco=DecoSymbol(name='y', is_unit=False))" + "))" * depth + ")")
+    (entry,) = sz.forest_sum_to_json(S)
+    assert entry["coeff"] == "1" and sz.forest_term_from_json(entry) == ForestTerm((T,))
+    assert sz.tree_from_json(sz.tree_to_json(T)) == T
+    latex = sz.tree_to_latex(T)
+    assert latex == (r"\bigl(1;\ " + "".join(f"(x_{{{i}}}\\," for i in reversed(range(depth)))
+                     + "y" + ")" * depth + r"\bigr)")
+    assert sz.forest_sum_to_latex(S) == latex
+    (t, c), = phi(S)
+    assert len(t.coords) == 2 * depth + 1 and c in (1, -1)
+
+
 @pytest.mark.parametrize("name", ["u07", "s0", "u\u0663", "s\u00b2"])
 def test_cycle_reader_refuses_variable_names_the_writer_never_makes(name):
     with pytest.raises(ValueError, match=re.escape(repr(name))):
