@@ -27,6 +27,18 @@ chain map does, the colour order is the renaming and one sort finishes
 the term.  Tied colours start an uncapped individualization-refinement
 search, so every term of the class has a canonical form.
 
+Each coordinate is read once per top-level call.  A reading
+(``_reading``) splits a coordinate into its constants, its parameters
+with their exponents and its topological variables, and anonymizes its
+parameters into the shape that the colouring reads.  ``phi``,
+``boundary``, ``concat``, ``cycle_sum``, ``is_admissible`` and
+``checks.admissibility`` each make one ``Readings`` table, filled on a
+miss, and drop it when they return; nothing is cached at module level,
+so a repeated call computes again.  The faces of a term share one
+reading of the term, whose pivot index maps each parameter to the
+coordinates it enters: a face edits a copy of the coordinate list at
+those positions only, and hands the table on to ``normalize``.
+
 The values below a term are plain tuples underneath, so they are built,
 hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
 entry is its kind rank, which the hot loops test in place of the kind
@@ -374,7 +386,41 @@ def _least_relabeling(parts, colour, n, neighbours, names):
         nodes[-1][2].append(path.pop())
 
 
-def normalize(raw_coords: Iterable[Coordinate]):
+class Readings(dict):
+    """The readings of the coordinates met in one top-level call, keyed by
+    coordinate and filled on a miss.  A table lives as long as the call
+    that made it, never longer."""
+
+    __slots__ = ()
+
+    def __missing__(self, c):
+        r = self[c] = _reading(c)
+        return r
+
+
+def _reading(c) -> Optional[tuple]:
+    """What ``normalize`` reads of the coordinate c: (head, params, tail),
+    or None when c has no parameter.
+
+    The symbol order keeps the constants, the parameters and the
+    topological variables of q in three contiguous runs: ``head`` is the
+    first and ``tail`` the third.  ``params`` holds a (symbol, exponent,
+    occurrence) triple for each parameter, where the occurrence, which
+    the colouring reads, is (shape, exponent) and the shape is c with its
+    parameters anonymized.
+    """
+    exps, om = c
+    ranks = [s[0] for s, _ in exps]
+    start = ranks.count(RANK_CONST)
+    end = start + ranks.count(RANK_PARAM)
+    if start == end:
+        return None
+    shape = (om, tuple(sorted([(s[3], "" if s[0] == RANK_PARAM else s[2], e)
+                               for s, e in exps])))
+    return exps[:start], tuple([(s, e, (shape, e)) for s, e in exps[start:end]]), exps[end:]
+
+
+def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = None):
     """Canonical (CycleTerm, sign) of a raw coordinate list, or None.
 
     None means the term is zero.  That happens when a coordinate is the
@@ -384,51 +430,48 @@ def normalize(raw_coords: Iterable[Coordinate]):
     automorphism, a relabeling of its parameters that permutes its
     coordinates oddly (an orientation-reversing self-symmetry).
 
-    One walk over the coordinates splits each exponent tuple into its
-    constants, parameters and topological variables (the symbol order
-    keeps each run contiguous) and gathers what the colouring reads.  A
-    coordinate's key is its exponent tuple with the parameters renamed, so
-    the keys compare as the renamed coordinates do and the winning keys
+    Each coordinate is read once per top-level call: ``readings`` is the
+    caller's table, and a fresh one serves a lone call.  One walk over the
+    readings numbers the parameters and gathers what the colouring reads.
+    A coordinate's key is its exponent tuple with the parameters renamed,
+    so the keys compare as the renamed coordinates do and the winning keys
     are the canonical coordinates.  When every colour is its own cell,
     which is almost every term of the chain map, the colour order is the
     renaming, and a symmetry, which fixes every colour, cannot make the
     term zero.  Tied cells go through ``_least_relabeling``.
     """
     coords = tuple(raw_coords)
+    if readings is None:
+        readings = Readings()
     index: Dict[Sym, int] = {}  # parameter -> position, by first appearance
     occurrences, neighbours, parts = [], [], []
-    for exps, om in coords:
-        if exps.is_one:
-            return None
-        n_const = 0
-        pe = []
-        for s, e in exps:
-            if s[0] == RANK_PARAM:
-                i = index.get(s)
-                if i is None:
-                    i = index[s] = len(index)
-                    occurrences.append([])
-                    neighbours.append([])
-                pe.append((i, e))
-            elif s[0] == RANK_CONST:
-                n_const += 1
-        if not pe:
-            parts.append((exps, pe, (), om))
+    for c in coords:
+        r = readings[c]
+        if r is None:
+            if c[0].is_one:
+                return None
+            parts.append((c[0], (), (), c[1]))
             continue
-        # parameters are anonymized; constants and topological syms keep names
-        shape = (om, tuple(sorted([(s[3], "" if s[0] == RANK_PARAM else s[2], e)
-                                   for s, e in exps])))
-        ids = [i for i, _ in pe]
-        for i, e in pe:
-            occurrences[i].append((shape, e))
+        head, params, tail = r
+        pe, ids = [], []  # ids is complete before the colouring reads it
+        for s, e, occurrence in params:
+            i = index.get(s)
+            if i is None:
+                i = index[s] = len(index)
+                occurrences.append([])
+                neighbours.append([])
+            pe.append((i, e))
+            ids.append(i)
+            occurrences[i].append(occurrence)
             neighbours[i].append(ids)
-        parts.append((exps[:n_const], pe, exps[n_const + len(pe):], om))
+        parts.append((head, pe, tail, c[1]))
 
     k = len(index)
     first = [tuple(sorted(occ)) for occ in occurrences]
     ordered = sorted(first)  # a colour is the start of its cell in this order
-    colour, n_colours = _refine([bisect_left(ordered, sig) for sig in first],
-                                len(set(first)), neighbours, range(k))
+    colour, n_colours = [bisect_left(ordered, sig) for sig in first], len(set(first))
+    if n_colours < k:
+        colour, n_colours = _refine(colour, n_colours, neighbours, range(k))
     names = _parameters(k)
     if n_colours == k:
         keys = _keys(parts, [col + 1 for col in colour], names)
@@ -457,11 +500,14 @@ def normalize(raw_coords: Iterable[Coordinate]):
         if q != c[0]:
             c = _new(Coordinate, (_new(Monomial, q), om))
         out.append(c)
-    return CycleTerm(tuple(out)), sign
+    term = CycleTerm(tuple(out))
+    # the parameters are now u1..uk, so the term need not scan for them
+    object.__setattr__(term, "_params", tuple(names[1:k + 1]))
+    return term, sign
 
 
-def add_cycle(out: FormalSum, raw_coords, coeff) -> None:
-    res = normalize(raw_coords)
+def add_cycle(out: FormalSum, raw_coords, coeff, readings: Optional[Readings] = None) -> None:
+    res = normalize(raw_coords, readings=readings)
     if res is None:
         return
     term, sign = res
@@ -470,8 +516,9 @@ def add_cycle(out: FormalSum, raw_coords, coeff) -> None:
 
 def cycle_sum(entries) -> FormalSum:
     out = FormalSum()
+    readings = Readings()
     for raw, c in entries:
-        add_cycle(out, raw, c)
+        add_cycle(out, raw, c, readings)
     return out
 
 
@@ -500,68 +547,89 @@ class FaceOutcome:
 _EMPTY_OUTCOME = FaceOutcome()
 
 
-def _restricted(coords, i, pivot, image) -> FaceOutcome:
+def _read_term(t: CycleTerm, readings: Readings) -> tuple:
+    """(readings, rows, where) of a term: ``rows[j]`` is the reading of
+    coordinate j, and ``where`` maps each parameter to the (position,
+    exponent) pairs of the coordinates it enters, in ascending position."""
+    rows = [readings[c] for c in t.coords]
+    where: Dict[Sym, list] = {}
+    for j, r in enumerate(rows):
+        if r is not None:
+            for s, f, _ in r[1]:
+                hits = where.get(s)
+                if hits is None:
+                    where[s] = [(j, f)]
+                else:
+                    hits.append((j, f))
+    return readings, rows, where
+
+
+def _restricted(coords, i, pivot, hits, image, readings) -> FaceOutcome:
     """Drop coordinate i and restrict the others to the face on which the
     parameter ``pivot`` is solved for or sent to a limit.
 
-    ``image(f)`` is what ``pivot^f`` becomes, built once per exponent f:
-    the sorted pairs of a monomial, which one ``_product`` merges into
-    the rest of q, or the constant 0 or INF, which q becomes as a whole.
-    A coordinate whose value becomes constant ends the face: the removed
-    point 1 empties it, which beats any flag, and 0 or infinity is
-    flagged.
+    ``hits`` are the (position, exponent) pairs of the coordinates that
+    ``pivot`` enters, in ascending position; no other coordinate changes.
+    ``image`` is what ``pivot`` becomes: the sorted pairs of a monomial,
+    which one ``_product`` merges into the rest of q after raising it to
+    the exponent, or for a limit True when ``pivot^f`` goes to infinity
+    for f > 0 and False when it goes to 0.  A coordinate whose value
+    becomes constant ends the face: the removed point 1 empties it, which
+    beats any flag, and 0 or infinity is flagged.
     """
-    images = {}
-    new_coords, flags = [], []
-    for jdx, c in enumerate(coords):
-        if jdx == i:
+    new_coords, flags = list(coords), []
+    limit = image.__class__ is bool
+    for j, f in hits:
+        if j == i:
             continue
-        q = c[0]
-        for s, f in q:
-            if s == pivot:
-                break
+        c = coords[j]
+        if limit:
+            img = INF if (f > 0) == image else 0
         else:
-            new_coords.append(c)
-            continue
-        img = images.get(f)
-        if img is None:
-            img = images[f] = image(f)
-        if img.__class__ is list:
-            pairs = list(q)
-            pairs.remove((s, f))
-            q = _product(pairs, img)
+            pairs = list(c[0])
+            pairs.remove((pivot, f))
+            q = _product(pairs, image if f == 1 else [(s, x * f) for s, x in image])
             if not q.is_one:
-                new_coords.append(_new(Coordinate, (q, c[1])))
+                new_coords[j] = _new(Coordinate, (q, c[1]))
                 continue
             img = 1
         # q is now the constant img, and the coordinate the constant z
         z = 1 - img if c[1] and img != INF else img
         if z == 1:
             return _EMPTY_OUTCOME  # the removed point 1
-        flags.append(f"coordinate {jdx + 1} -> constant "
+        flags.append(f"coordinate {j + 1} -> constant "
                      f"{'infinity' if z == INF else 0}")
     if flags:
         return FaceOutcome((), tuple(flags))
-    res = normalize(new_coords)
+    del new_coords[i]
+    res = normalize(new_coords, readings=readings)
     if res is None:
         return _EMPTY_OUTCOME
     return FaceOutcome((res,), ())
 
 
-def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
-    """Face i (1-based) at eps in {0, inf} of a single term."""
+def face_outcome(t: CycleTerm, i: int, eps, *, reading: Optional[tuple] = None) -> FaceOutcome:
+    """Face i (1-based) at eps in {0, inf} of a single term.
+
+    ``reading`` is the term's ``_read_term``, which a caller that takes
+    several faces of one term builds once; a lone call reads the term
+    itself."""
     if not 1 <= i <= t.n:
         raise ValueError(f"face index {i} out of range")
+    readings, rows, where = reading or _read_term(t, Readings())
     coord = t.coords[i - 1]
     q, one_minus = coord
+    params = () if rows[i - 1] is None else rows[i - 1][1]
     at_zero = not (eps == INF or eps == "inf")
 
     if one_minus and at_zero:
         # solve q = 1 for its least parameter p of exponent e = +-1: p = r^-e
         # for r the rest of q
-        pivots = [(s, e) for s, e in q if s[0] == RANK_PARAM and (e == 1 or e == -1)]
-        if not pivots:
-            if any(s[0] == RANK_PARAM for s, _ in q):
+        for pivot, e, _ in params:
+            if e == 1 or e == -1:
+                break
+        else:
+            if params:
                 raise OutOfClassError(
                     f"zero-face of {coord}: no parameter enters with exponent +-1")
             if sum(s[0] == RANK_TOP for s, _ in q) >= 2:
@@ -570,32 +638,31 @@ def face_outcome(t: CycleTerm, i: int, eps) -> FaceOutcome:
             # constants alone, or one topological variable against generic
             # constants: no solution on the cube resp. inside [0,1]
             return _EMPTY_OUTCOME
-        pivot, e = min(pivots)
-        return _restricted(t.coords, i - 1, pivot,
-                           lambda f: [(s, -e * f * x) for s, x in q if s != pivot])
+        return _restricted(t.coords, i - 1, pivot, where[pivot],
+                           [(s, -e * x) for s, x in q if s != pivot], readings)
 
     # 1 - q at infinity, or a bare q at 0 or infinity: the face is reached
     # only through the parameter limits u -> 0 or inf that drive q there
-    want_infinity = one_minus or not at_zero
-    degens = [(s, (e > 0) == want_infinity) for s, e in q if s[0] == RANK_PARAM]
-    if not degens:
+    if not params:
         if not at_zero and any(e < 0 for s, e in q if s[0] == RANK_TOP):
             raise OutOfClassError(
                 f"coordinate {i} would need a topological variable at 0 to blow up")
         return _EMPTY_OUTCOME
+    want_infinity = one_minus or not at_zero
     contributions, flags = [], []
-    for sym, to_inf in degens:
-        out = _restricted(t.coords, i - 1, sym,
-                          lambda f: INF if (f > 0) == to_inf else 0)
+    for sym, e, _ in params:
+        out = _restricted(t.coords, i - 1, sym, where[sym], (e > 0) == want_infinity,
+                          readings)
         contributions += out.contributions
         flags += out.flags
     return FaceOutcome(tuple(contributions), tuple(flags))
 
 
-def _add_face(out: FormalSum, t: CycleTerm, i: int, eps, sign: int) -> None:
+def _add_face(out: FormalSum, t: CycleTerm, i: int, eps, sign: int,
+              reading: Optional[tuple] = None) -> None:
     """Add sign times face i at eps of t to ``out``; a degenerate-constant
     outcome is a class error."""
-    res = face_outcome(t, i, eps)
+    res = face_outcome(t, i, eps, reading=reading)
     if res.flags:
         raise OutOfClassError("; ".join(res.flags))
     for term, s in res.contributions:
@@ -609,25 +676,28 @@ def face(t: CycleTerm, i: int, eps) -> FormalSum:
     return out
 
 
-def boundary_term(t: CycleTerm) -> FormalSum:
+def boundary_term(t: CycleTerm, readings: Readings) -> FormalSum:
+    reading = _read_term(t, readings)
     out = FormalSum()
     for i in range(1, t.n + 1):
         sign = 1 if i % 2 == 1 else -1
-        _add_face(out, t, i, 0, sign)
-        _add_face(out, t, i, INF, -sign)
+        _add_face(out, t, i, 0, sign, reading)
+        _add_face(out, t, i, INF, -sign, reading)
     return out
 
 
 def boundary(S: FormalSum) -> FormalSum:
     """The cycle differential: alternating sum of zero- and infinity-faces."""
-    return S.bind(boundary_term)
+    readings = Readings()
+    return S.bind(lambda t: boundary_term(t, readings))
 
 
 # ---------------------------------------------------------------------------
 # product
 
 def _alpha_convert(term: CycleTerm, start: int) -> CycleTerm:
-    mapping = {p: parameter(start + k) for k, p in enumerate(term.params)}
+    names = _parameters(start + len(term.params))
+    mapping = {p: names[start + k] for k, p in enumerate(term.params)}
     return CycleTerm(tuple(c.rename(mapping) for c in term.coords))
 
 
@@ -639,11 +709,12 @@ def concat(A: FormalSum, B: FormalSum) -> FormalSum:
     the fresh-parameter discipline under canonical storage.
     """
     out = FormalSum()
+    readings = Readings()
     for ta, ca in A:
         na = len(ta.params)
         for tb, cb in B:
             tb2 = _alpha_convert(tb, na + 1)
-            add_cycle(out, ta.coords + tb2.coords, ca * cb)
+            add_cycle(out, ta.coords + tb2.coords, ca * cb, readings)
     return out
 
 
@@ -662,33 +733,38 @@ class AdmissibilityReport:
 
 
 def admissibility_violation(term: CycleTerm, memo: Dict[CycleTerm, Optional[tuple]],
-                            counter: list) -> Optional[tuple]:
+                            counter: list,
+                            readings: Optional[Readings] = None) -> Optional[tuple]:
     """The first violating face chain below ``term``, or None.
 
     Each nonempty face must eliminate exactly one algebraic parameter and
     never pin a coordinate at a constant 0 or infinity; the same is then
     required of every face of the face.  ``memo`` maps each term walked
     to its own chain, which depends on that term alone, so one memo may
-    serve any number of walks; ``counter[0]`` grows by the faces computed.
+    serve any number of walks, and a caller that keeps one passes one
+    ``readings`` table along with it; ``counter[0]`` grows by the faces
+    computed.
     """
     if term not in memo:
         # faces strictly shrink n, so the walk below never meets term
-        memo[term] = _first_violation(term, memo, counter)
+        memo[term] = _first_violation(term, memo, counter,
+                                      Readings() if readings is None else readings)
     return memo[term]
 
 
-def _first_violation(term: CycleTerm, memo, counter) -> Optional[tuple]:
+def _first_violation(term: CycleTerm, memo, counter, readings) -> Optional[tuple]:
+    reading = _read_term(term, readings)
     for i in range(1, term.n + 1):
         for eps in (0, INF):
             counter[0] += 1
-            out = face_outcome(term, i, eps)
+            out = face_outcome(term, i, eps, reading=reading)
             if out.flags:
                 return ((i, eps, "; ".join(out.flags)),)
             for sub, _ in out.contributions:
                 if dimension(sub) != dimension(term) - 1:
                     return ((i, eps,
                              f"face eliminates {dimension(term) - dimension(sub)} parameters"),)
-                deeper = admissibility_violation(sub, memo, counter)
+                deeper = admissibility_violation(sub, memo, counter, readings)
                 if deeper is not None:
                     return ((i, eps, "face chain"),) + deeper
     return None

@@ -15,9 +15,12 @@ and its weight-three analogue.
 
 from __future__ import annotations
 
-from .cycle_algebra import Coordinate, CycleTerm, FormalSum, Monomial, ONE, add_cycle
+from typing import Optional
+
+from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, Monomial, ONE, Readings,
+                            _parameters, add_cycle)
 from .forest_algebra import Leaf, RDecoTree, flatten
-from .symbols import constant, parameter
+from .symbols import constant
 
 
 def _edge_monomial(near, far) -> Monomial:
@@ -31,24 +34,36 @@ def _edge_monomial(near, far) -> Monomial:
     return Monomial(((near, 1), (far, -1)) if near < far else ((far, -1), (near, 1)))
 
 
-def _deco_symbol(deco):
-    return None if deco.is_unit else constant(deco.name)
+class _DecoSymbols(dict):
+    """The constant symbol of each decoration met in one call, None for
+    the unit, made on a miss."""
+
+    __slots__ = ()
+
+    def __missing__(self, deco):
+        s = self[deco] = None if deco.is_unit else constant(deco.name)
+        return s
 
 
-def _tree_coords(tree: RDecoTree, first_param: int):
+def _tree_coords(tree: RDecoTree, first_param: int, symbols: Optional[_DecoSymbols] = None):
     """The edge coordinates of one tree in canonical edge order, and the
     next free parameter number.
 
     ``flatten`` lists the far vertices in that order.  An internal one
     takes the next parameter, which numbers them in preorder, and is the
     near vertex of the edges below it until its closing entry.
+    ``symbols`` is the caller's table of decoration symbols.
     """
-    coords, nears, next_param = [], [_deco_symbol(tree[1])], first_param
-    for x in flatten(tree[2]):
+    if symbols is None:
+        symbols = _DecoSymbols()
+    entries = list(flatten(tree[2]))
+    names = _parameters(first_param + len(entries) // 2)  # a node has two entries
+    coords, nears, next_param = [], [symbols[tree[1]]], first_param
+    for x in entries:
         if type(x) is Leaf:
-            coords.append(Coordinate(_edge_monomial(nears[-1], _deco_symbol(x[1])), True))
+            coords.append(Coordinate(_edge_monomial(nears[-1], symbols[x[1]]), True))
         elif type(x) is int:  # a node opens
-            nears.append(parameter(next_param))
+            nears.append(names[next_param])
             next_param += 1
             coords.append(Coordinate(_edge_monomial(nears[-2], nears[-1]), True))
         else:  # a node closes
@@ -73,11 +88,12 @@ def phi(S: FormalSum) -> FormalSum:
     disjoint parameter blocks, so the product of trees maps to the
     concatenation product of their images."""
     out = FormalSum()
+    readings, symbols = Readings(), _DecoSymbols()
     for F, c in S:
         coords = []
         next_param = 1
         for tree in F.trees:
-            tc, next_param = _tree_coords(tree, next_param)
+            tc, next_param = _tree_coords(tree, next_param, symbols)
             coords.extend(tc)
-        add_cycle(out, coords, c * F.sign)
+        add_cycle(out, coords, c * F.sign, readings)
     return out

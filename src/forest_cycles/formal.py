@@ -96,19 +96,12 @@ class FormalSum:
 
 
 def perm_parity(perm) -> int:
-    """Sign of the permutation i -> perm[i], via cycle decomposition."""
-    seen = [False] * len(perm)
+    """Sign of the permutation i -> perm[i]: each swap that puts an entry
+    in its place flips it, and a cycle of length l takes l - 1 swaps."""
+    p = list(perm)
     sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
+    for i in range(len(p)):
+        while (j := p[i]) != i:
+            p[i], p[j] = p[j], j
             sign = -sign
     return sign
-
