@@ -31,9 +31,10 @@ Each coordinate is read once per top-level call.  A reading
 (``_reading``) splits a coordinate into its constants, its parameters
 with their exponents and its topological variables, and anonymizes its
 parameters into the shape that the colouring reads.  ``phi``,
-``boundary``, ``concat``, ``cycle_sum``, ``is_admissible`` and
-``checks.admissibility`` each make one ``Readings`` table, filled on a
-miss, and drop it when they return; nothing is cached at module level,
+``boundary``, ``concat``, ``cycle_sum``, ``is_admissible``,
+``checks.admissibility``, ``hybrid.delta_term`` and the JSON reader each
+make one ``Readings`` table, filled on a miss, and drop it when they
+return; nothing is cached at module level,
 so a repeated call computes again.  The faces of a term share one
 reading of the term, whose pivot index maps each parameter to the
 coordinates it enters: a face edits a copy of the coordinate list at
@@ -417,7 +418,8 @@ def _reading(c) -> Optional[tuple]:
         return None
     shape = (om, tuple(sorted([(s[3], "" if s[0] == RANK_PARAM else s[2], e)
                                for s, e in exps])))
-    return exps[:start], tuple([(s, e, (shape, e)) for s, e in exps[start:end]]), exps[end:]
+    params = tuple([(s, e, (shape, e)) for s, e in exps[start:end]])
+    return exps[:start], params, exps[end:]
 
 
 def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = None):
@@ -506,7 +508,8 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
     return term, sign
 
 
-def add_cycle(out: FormalSum, raw_coords, coeff, readings: Optional[Readings] = None) -> None:
+def add_cycle(out: FormalSum, raw_coords, coeff,
+              readings: Optional[Readings] = None) -> None:
     res = normalize(raw_coords, readings=readings)
     if res is None:
         return
@@ -608,7 +611,8 @@ def _restricted(coords, i, pivot, hits, image, readings) -> FaceOutcome:
     return FaceOutcome((res,), ())
 
 
-def face_outcome(t: CycleTerm, i: int, eps, *, reading: Optional[tuple] = None) -> FaceOutcome:
+def face_outcome(t: CycleTerm, i: int, eps, *,
+                 reading: Optional[tuple] = None) -> FaceOutcome:
     """Face i (1-based) at eps in {0, inf} of a single term.
 
     ``reading`` is the term's ``_read_term``, which a caller that takes

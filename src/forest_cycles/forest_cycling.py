@@ -45,7 +45,8 @@ class _DecoSymbols(dict):
         return s
 
 
-def _tree_coords(tree: RDecoTree, first_param: int, symbols: Optional[_DecoSymbols] = None):
+def _tree_coords(tree: RDecoTree, first_param: int,
+                 symbols: Optional[_DecoSymbols] = None):
     """The edge coordinates of one tree in canonical edge order, and the
     next free parameter number.
 

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, OutOfClassError,
+from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, OutOfClassError, Readings,
                             add_cycle, boundary, dimension, monomial)
 from .serialize import cycle_sum_from_json
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, topological
@@ -60,8 +60,9 @@ def delta_term(t: CycleTerm) -> FormalSum:
     for c in t.coords:
         if c.q.exp_of(s1) < 0:
             raise OutOfClassError(f"s1 -> 0 blows up coordinate {c}")
+    readings = Readings()  # the restrictions share most coordinates
     for k in range(1, r + 1):
-        add_cycle(out, _restriction(t.coords, k, r), (-1) ** k)
+        add_cycle(out, _restriction(t.coords, k, r), (-1) ** k, readings)
     return out
 
 

@@ -16,7 +16,7 @@ import re
 import reprlib
 from fractions import Fraction
 
-from .cycle_algebra import Coordinate, CycleTerm, add_cycle, monomial
+from .cycle_algebra import Coordinate, CycleTerm, Readings, add_cycle, monomial
 from .forest_algebra import MAX_TREE_DEPTH, ForestTerm, Leaf, Node, RDecoTree, add_forest
 from .formal import FormalSum
 from .symbols import deco, sym_from_name
@@ -141,8 +141,9 @@ def cycle_sum_to_json(S: FormalSum) -> list:
 
 
 def cycle_sum_from_json(entries) -> FormalSum:
+    readings = Readings()
     return _sum_from_json(entries, cycle_term_from_json,
-                          lambda out, t, c: add_cycle(out, t.coords, c))
+                          lambda out, t, c: add_cycle(out, t.coords, c, readings))
 
 
 def write_json_list(entries, out) -> None:

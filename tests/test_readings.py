@@ -62,7 +62,8 @@ def _random_coords():
     for _ in range(300):
         coords = []
         for _ in range(rng.randint(1, 5)):
-            exps = {s: rng.choice((-2, -1, 1, 2)) for s in rng.sample(names, rng.randint(1, 3))}
+            picked = rng.sample(names, rng.randint(1, 3))
+            exps = {s: rng.choice((-2, -1, 1, 2)) for s in picked}
             coords.append((om if rng.random() < 0.5 else bare)(**exps))
         inputs.append(coords)
     return inputs
