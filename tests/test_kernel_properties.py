@@ -1,7 +1,8 @@
 """The value kernels against plain references: monomial arithmetic
 against exponent dicts, the symbol and coordinate orders against
 explicit sort keys, the tree order, edge count and leaf-edge contraction
-sign against the edge listing, the edge coordinates of ``phi`` against
+sign against the edge listing, the permutation sign against a count
+of inversions, the edge coordinates of ``phi`` against
 vertex values read along the edge listing, and pickling of every value
 type.  Monomials and coordinates are tuples underneath; the tuple
 operations that are not monomial arithmetic must not leak through."""
@@ -12,7 +13,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from forest_cycles import forest_algebra as fa
 from forest_cycles.checks import _random_tree
 from forest_cycles.cycle_algebra import ONE
 from forest_cycles.forest_cycling import _tree_coords
+from forest_cycles.formal import perm_parity
 from forest_cycles.symbols import (KIND_CONST, KIND_PARAM, KIND_TOP, DecoSymbol,
                                    topological)
 
@@ -337,3 +339,12 @@ def test_tree_coords_match_vertex_values_along_edge_listing(tree, first):
     assert nxt == want_next
     assert [c.q.exps for c in got] == [c.q.exps for c in want]
     assert got == want and [hash(c) for c in got] == [hash(c) for c in want]
+
+
+def test_perm_parity_is_the_parity_of_the_inversions():
+    rng = random.Random(3)
+    perms = [p for n in range(7) for p in permutations(range(n))]
+    perms += [rng.sample(range(n), n) for n in range(7, 40) for _ in range(20)]
+    for p in perms:
+        inversions = sum(a > b for a, b in combinations(p, 2))
+        assert perm_parity(p) == (-1) ** inversions
