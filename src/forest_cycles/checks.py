@@ -18,7 +18,7 @@ from typing import Optional
 from . import forest_algebra as fa
 from . import numerics as nm
 from . import serialize as sz
-from .cycle_algebra import Readings, admissibility_violation, boundary, concat
+from .cycle_algebra import AdmissibilityWalk, boundary, concat
 from .forest_cycling import phi
 from .hybrid import load_fixture, topological_part, verify_bounding
 from .symbols import UNIT, deco
@@ -169,12 +169,12 @@ def chain_map(cases) -> CheckResult:
 
 def admissibility(terms) -> CheckResult:
     """Every face chain of every term meets the faces properly.  The
-    terms share one walk memo and one readings table, since the faces of
-    a sum's terms repeat."""
-    memo, faces, readings = {}, [0], Readings()
+    terms share one ``AdmissibilityWalk``, since the faces of a sum's
+    terms repeat."""
+    walk = AdmissibilityWalk()
 
     def offence(t):
-        chain = admissibility_violation(t, memo, faces, readings)
+        chain = walk.violation(t)
         if chain is not None:
             return f"{t} fails along the face chain {chain}"
     return _check("admissibility", terms, offence)

@@ -173,6 +173,8 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
+    if not ns.tol > 0:  # NaN included, as NumericContext refuses it
+        raise ValueError("tolerance must be positive")
     ctx = nm.NumericContext(quadrature_order=ns.order)
     xs = _floats(ns.xs)
     if ns.mode != "series":

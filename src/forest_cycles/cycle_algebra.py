@@ -30,15 +30,15 @@ search, so every term of the class has a canonical form.
 Each coordinate is read once per top-level call.  A reading
 (``_reading``) splits a coordinate into its constants, its parameters
 with their exponents and its topological variables, and anonymizes its
-parameters into the shape that the colouring reads.  ``phi``,
-``boundary``, ``concat``, ``cycle_sum``, ``is_admissible``,
-``checks.admissibility``, ``hybrid.delta_term`` and the JSON reader each
-make one ``Readings`` table, filled on a miss, and drop it when they
-return; nothing is cached at module level,
-so a repeated call computes again.  The faces of a term share one
-reading of the term, whose pivot index maps each parameter to the
-coordinates it enters: a face edits a copy of the coordinate list at
-those positions only, and hands the table on to ``normalize``.
+parameters into the shape that the colouring reads.  Only this module
+makes a ``Readings`` table, filled on a miss: ``cycle_sum``, through
+which every sum of raw coordinate lists is built, ``boundary``, an
+``AdmissibilityWalk`` and a lone ``normalize`` or ``face_outcome`` call
+each make one and drop it with the call or the walk; nothing is cached
+at module level, so a repeated call computes again.  The faces of a term share one reading of the term, whose pivot
+index maps each parameter to the coordinates it enters: a face edits a
+copy of the coordinate list at those positions only, and hands the table
+on to ``normalize``.
 
 The values below a term are plain tuples underneath, so they are built,
 hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
@@ -508,20 +508,15 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
     return term, sign
 
 
-def add_cycle(out: FormalSum, raw_coords, coeff,
-              readings: Optional[Readings] = None) -> None:
-    res = normalize(raw_coords, readings=readings)
-    if res is None:
-        return
-    term, sign = res
-    out.add_term(term, coeff * sign)
-
-
 def cycle_sum(entries) -> FormalSum:
+    """The canonical sum of raw (coordinate list, coefficient) entries,
+    which share one readings table."""
     out = FormalSum()
     readings = Readings()
-    for raw, c in entries:
-        add_cycle(out, raw, c, readings)
+    for raw, coeff in entries:
+        res = normalize(raw, readings=readings)
+        if res is not None:
+            out.add_term(res[0], coeff * res[1])
     return out
 
 
@@ -712,14 +707,8 @@ def concat(A: FormalSum, B: FormalSum) -> FormalSum:
     factor is renamed to fresh parameters first, which is the meaning of
     the fresh-parameter discipline under canonical storage.
     """
-    out = FormalSum()
-    readings = Readings()
-    for ta, ca in A:
-        na = len(ta.params)
-        for tb, cb in B:
-            tb2 = _alpha_convert(tb, na + 1)
-            add_cycle(out, ta.coords + tb2.coords, ca * cb, readings)
-    return out
+    return cycle_sum((ta.coords + _alpha_convert(tb, len(ta.params) + 1).coords, ca * cb)
+                     for ta, ca in A for tb, cb in B)
 
 
 def unit_sum() -> FormalSum:
@@ -736,50 +725,55 @@ class AdmissibilityReport:
     faces_checked: int = 0
 
 
-def admissibility_violation(term: CycleTerm, memo: Dict[CycleTerm, Optional[tuple]],
-                            counter: list,
-                            readings: Optional[Readings] = None) -> Optional[tuple]:
-    """The first violating face chain below ``term``, or None.
+class AdmissibilityWalk:
+    """A walk over face chains that any number of terms may share.
 
     Each nonempty face must eliminate exactly one algebraic parameter and
     never pin a coordinate at a constant 0 or infinity; the same is then
     required of every face of the face.  ``memo`` maps each term walked
-    to its own chain, which depends on that term alone, so one memo may
-    serve any number of walks, and a caller that keeps one passes one
-    ``readings`` table along with it; ``counter[0]`` grows by the faces
-    computed.
+    to its own chain, which depends on that term alone, so the terms of a
+    sum, whose faces repeat, share the memo and one readings table;
+    ``faces`` counts the faces computed.
     """
-    if term not in memo:
-        # faces strictly shrink n, so the walk below never meets term
-        memo[term] = _first_violation(term, memo, counter,
-                                      Readings() if readings is None else readings)
-    return memo[term]
 
+    __slots__ = ("memo", "faces", "readings")
 
-def _first_violation(term: CycleTerm, memo, counter, readings) -> Optional[tuple]:
-    reading = _read_term(term, readings)
-    for i in range(1, term.n + 1):
-        for eps in (0, INF):
-            counter[0] += 1
-            out = face_outcome(term, i, eps, reading=reading)
-            if out.flags:
-                return ((i, eps, "; ".join(out.flags)),)
-            for sub, _ in out.contributions:
-                if dimension(sub) != dimension(term) - 1:
-                    return ((i, eps,
-                             f"face eliminates {dimension(term) - dimension(sub)} parameters"),)
-                deeper = admissibility_violation(sub, memo, counter, readings)
-                if deeper is not None:
-                    return ((i, eps, "face chain"),) + deeper
-    return None
+    def __init__(self):
+        self.memo: Dict[CycleTerm, Optional[tuple]] = {}
+        self.faces = 0
+        self.readings = Readings()
+
+    def violation(self, term: CycleTerm) -> Optional[tuple]:
+        """The first violating face chain below ``term``, or None."""
+        if term not in self.memo:
+            # faces strictly shrink n, so the walk below never meets term
+            self.memo[term] = self._first_violation(term)
+        return self.memo[term]
+
+    def _first_violation(self, term: CycleTerm) -> Optional[tuple]:
+        reading = _read_term(term, self.readings)
+        for i in range(1, term.n + 1):
+            for eps in (0, INF):
+                self.faces += 1
+                out = face_outcome(term, i, eps, reading=reading)
+                if out.flags:
+                    return ((i, eps, "; ".join(out.flags)),)
+                for sub, _ in out.contributions:
+                    if dimension(sub) != dimension(term) - 1:
+                        return ((i, eps,
+                                 f"face eliminates {dimension(term) - dimension(sub)} parameters"),)
+                    deeper = self.violation(sub)
+                    if deeper is not None:
+                        return ((i, eps, "face chain"),) + deeper
+        return None
 
 
 def is_admissible(t: CycleTerm) -> AdmissibilityReport:
     """Recursive proper-intersection check over all face chains, with a
-    memo of its own; the certificate is the first violating face chain
-    found (see ``admissibility_violation``)."""
-    counter = [0]
-    chain = admissibility_violation(t, {}, counter)
+    walk of its own; the certificate is the first violating face chain
+    found (see ``AdmissibilityWalk``)."""
+    walk = AdmissibilityWalk()
+    chain = walk.violation(t)
     return AdmissibilityReport(admissible=(chain is None),
                                certificate=chain or (),
-                               faces_checked=counter[0])
+                               faces_checked=walk.faces)

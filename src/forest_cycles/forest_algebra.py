@@ -291,12 +291,8 @@ def star(A: FormalSum, B: FormalSum) -> FormalSum:
     edges of B; canonicalization converts that to the sorted-tree
     orientation, which is where the Koszul signs come from.
     """
-    out = FormalSum()
-    for Fa, ca in A:
-        for Fb, cb in B:
-            add_forest(out, ForestTerm(Fa.trees + Fb.trees, Fa.sign * Fb.sign),
-                       ca * cb)
-    return out
+    return forest_sum((ForestTerm(Fa.trees + Fb.trees, Fa.sign * Fb.sign), ca * cb)
+                      for Fa, ca in A for Fb, cb in B)
 
 
 # ---------------------------------------------------------------------------

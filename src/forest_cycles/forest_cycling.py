@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, Monomial, ONE, Readings,
-                            _parameters, add_cycle)
+from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, Monomial, ONE, _parameters,
+                            cycle_sum)
 from .forest_algebra import Leaf, RDecoTree, flatten
 from .symbols import constant
 
@@ -88,13 +88,13 @@ def phi(S: FormalSum) -> FormalSum:
     """Linear extension to forest sums; trees of one forest term get
     disjoint parameter blocks, so the product of trees maps to the
     concatenation product of their images."""
-    out = FormalSum()
-    readings, symbols = Readings(), _DecoSymbols()
-    for F, c in S:
-        coords = []
-        next_param = 1
-        for tree in F.trees:
-            tc, next_param = _tree_coords(tree, next_param, symbols)
-            coords.extend(tc)
-        add_cycle(out, coords, c * F.sign, readings)
-    return out
+    symbols = _DecoSymbols()
+
+    def entries():
+        for F, c in S:
+            coords, next_param = [], 1
+            for tree in F.trees:
+                tc, next_param = _tree_coords(tree, next_param, symbols)
+                coords.extend(tc)
+            yield coords, c * F.sign
+    return cycle_sum(entries())

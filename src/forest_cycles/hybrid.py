@@ -27,8 +27,8 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, OutOfClassError, Readings,
-                            add_cycle, boundary, dimension, monomial)
+from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, OutOfClassError, boundary,
+                            cycle_sum, dimension, monomial)
 from .serialize import cycle_sum_from_json
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, topological
 
@@ -46,13 +46,11 @@ def _restriction(coords, k: int, r: int) -> list:
 
 
 def delta_term(t: CycleTerm) -> FormalSum:
-    """The simplex-boundary fence of one term."""
-    out = FormalSum()
+    """The simplex-boundary fence of one term, its restrictions in one
+    ``cycle_sum``, since they share most coordinates."""
     r = len(t.top_syms)
     if [s.index for s in t.top_syms] != list(range(1, r + 1)):
         raise ValueError(f"topological variables of {t} are not s1..s{r}")
-    if r == 0:
-        return out
     s1 = topological(1)
     # k = 0: s1 = 0.  Any coordinate containing s1 with positive exponent
     # becomes the constant 1, so the restriction is empty; a negative
@@ -60,10 +58,7 @@ def delta_term(t: CycleTerm) -> FormalSum:
     for c in t.coords:
         if c.q.exp_of(s1) < 0:
             raise OutOfClassError(f"s1 -> 0 blows up coordinate {c}")
-    readings = Readings()  # the restrictions share most coordinates
-    for k in range(1, r + 1):
-        add_cycle(out, _restriction(t.coords, k, r), (-1) ** k, readings)
-    return out
+    return cycle_sum((_restriction(t.coords, k, r), (-1) ** k) for k in range(1, r + 1))
 
 
 def delta(S: FormalSum) -> FormalSum:

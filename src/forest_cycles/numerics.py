@@ -47,7 +47,7 @@ class NumericContext:
                 f"quadrature order {self.quadrature_order} exceeds "
                 f"{MAX_QUADRATURE_ORDER}, the limit of the "
                 f"{INTEGRATION_MEMORY_BUDGET >> 20} MB memory budget")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN included
             raise ValueError("tolerance must be positive")
 
 

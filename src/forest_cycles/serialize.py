@@ -16,8 +16,8 @@ import re
 import reprlib
 from fractions import Fraction
 
-from .cycle_algebra import Coordinate, CycleTerm, Readings, add_cycle, monomial
-from .forest_algebra import MAX_TREE_DEPTH, ForestTerm, Leaf, Node, RDecoTree, add_forest
+from .cycle_algebra import Coordinate, CycleTerm, cycle_sum, monomial
+from .forest_algebra import MAX_TREE_DEPTH, ForestTerm, Leaf, Node, RDecoTree, forest_sum
 from .formal import FormalSum
 from .symbols import deco, sym_from_name
 
@@ -83,16 +83,15 @@ def _sum_entries(S: FormalSum, term_key, term_to_json):
         yield dict(term_to_json(t), coeff=str(c))
 
 
-def _sum_from_json(entries, term_from_json, add) -> FormalSum:
-    """``add`` each entry's term at its "coeff", as ``_sum_entries`` writes it."""
+def _sum_from_json(entries, term_from_json):
+    """Each entry's (term, coefficient), read from its "coeff" as
+    ``_sum_entries`` writes it, one at a time."""
     _require(isinstance(entries, list), "a sum is a list of entries", entries)
-    out = FormalSum()
     for obj in entries:
         term, coeff = term_from_json(obj), obj.get("coeff", "1")
         _require(isinstance(coeff, str) and _COEFF_RE.fullmatch(coeff),
                  "coefficient must be a string p or p/q", coeff)
-        add(out, term, Fraction(coeff))
-    return out
+        yield term, Fraction(coeff)
 
 
 def forest_sum_entries(S: FormalSum):
@@ -104,7 +103,7 @@ def forest_sum_to_json(S: FormalSum) -> list:
 
 
 def forest_sum_from_json(entries) -> FormalSum:
-    return _sum_from_json(entries, forest_term_from_json, add_forest)
+    return forest_sum(_sum_from_json(entries, forest_term_from_json))
 
 
 def cycle_term_to_json(t: CycleTerm) -> dict:
@@ -141,9 +140,7 @@ def cycle_sum_to_json(S: FormalSum) -> list:
 
 
 def cycle_sum_from_json(entries) -> FormalSum:
-    readings = Readings()
-    return _sum_from_json(entries, cycle_term_from_json,
-                          lambda out, t, c: add_cycle(out, t.coords, c, readings))
+    return cycle_sum((t.coords, c) for t, c in _sum_from_json(entries, cycle_term_from_json))
 
 
 def write_json_list(entries, out) -> None:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from forest_cycles import (OutOfClassError, checks, concat, dimension, face,
                            is_admissible, normalize, phi, standard_spec, tau,
                            tree_sum)
-from forest_cycles.cycle_algebra import (admissibility_violation, cycle_sum,
+from forest_cycles.cycle_algebra import (AdmissibilityWalk, cycle_sum,
                                          face_outcome, unit_sum)
 from forest_cycles.formal import FormalSum
 from helpers import bare, csum, ct, generic_tree, om
@@ -174,13 +174,13 @@ def test_shared_walk_memo_gives_the_standalone_verdicts():
     deep1, _ = normalize([om(u1=-1, a=-1), om(u2=1, b=1), om(u1=1, u2=1)])
     deep2, _ = normalize([om(u1=1, a=1), om(u2=1, a=1), om(u1=-1, u2=1)])
     terms = good[:5] + [deep1] + good[5:] + [flat, deep2, deep1, flat]
-    memo, faces = {}, [0]
+    walk = AdmissibilityWalk()
     standalone = [is_admissible(t) for t in terms]
     for t, rep in zip(terms, standalone):
-        chain = admissibility_violation(t, memo, faces)
+        chain = walk.violation(t)
         assert (chain is None, chain or ()) == (rep.admissible, rep.certificate)
     assert len(standalone[5].certificate) == 2 and len(standalone[-2].certificate) == 2
-    assert faces[0] < sum(rep.faces_checked for rep in standalone)
+    assert walk.faces < sum(rep.faces_checked for rep in standalone)
 
 
 def test_admissibility_raises_outside_class():

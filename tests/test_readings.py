@@ -4,12 +4,13 @@ table outlives the call that made it."""
 import gc
 import json
 import random
+import re
 from importlib import resources
 
 import pytest
 
-from forest_cycles import (OutOfClassError, boundary, checks, is_admissible, phi,
-                           standard_spec, tau, tree_sum)
+from forest_cycles import (D, OutOfClassError, boundary, checks, concat, is_admissible,
+                           load_fixture, phi, standard_spec, tau, tree_sum)
 from forest_cycles import cycle_algebra as ca
 from forest_cycles import forest_cycling
 from forest_cycles.cycle_algebra import INF, Readings, face_outcome, normalize
@@ -150,5 +151,17 @@ def test_no_readings_table_outlives_its_call():
     assert not boundary(Z).is_zero()
     assert is_admissible(Z.terms()[0]).admissible
     assert checks.admissibility(phi(tau(standard_spec(4))).terms()).passed
+    assert not concat(Z, phi(tau(standard_spec(3)))).is_zero()
+    chain, _, _ = load_fixture("triple_log")  # cycle_sum_from_json
+    assert not D(chain).is_zero()  # delta_term on every term
     assert _tables() == []
     assert _module_dicts() == before
+
+
+def test_only_cycle_algebra_names_the_readings_table():
+    # every other module builds a cycle sum through cycle_sum and walks
+    # face chains through an AdmissibilityWalk
+    modules = [f for f in resources.files("forest_cycles").iterdir() if f.name.endswith(".py")]
+    assert len(modules) > 10
+    naming = {f.name for f in modules if re.search(r"\bReadings\b", f.read_text())}
+    assert naming == {"cycle_algebra.py"}

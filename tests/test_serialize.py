@@ -210,8 +210,11 @@ _READERS = (sz.tree_from_json, sz.forest_term_from_json, sz.forest_sum_from_json
     (sz.forest_term_from_json, {"trees": [], "sign": 2}),
     (sz.forest_term_from_json, {"trees": [], "sign": 0}),
     (sz.cycle_term_from_json, {"coords": [{"x1": 1}], "plain": [7]}),
+    (sz.forest_sum_from_json, "x"),
+    (sz.cycle_sum_from_json, {"coords": []}),
 ], ids=["no_trees", "number_entry", "list_exponent", "number_coordinate", "zero_denominator",
-        "nested_3000", "sign_2", "sign_0", "plain_out_of_range"])
+        "nested_3000", "sign_2", "sign_0", "plain_out_of_range",
+        "not_a_list_forest_sum", "not_a_list_cycle_sum"])
 def test_readers_refuse_malformed_input_with_value_error(read, obj):
     with pytest.raises(ValueError):
         read(obj)
