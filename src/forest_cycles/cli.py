@@ -38,6 +38,15 @@ def _floats(text: str) -> list:
     return xs
 
 
+def _check_tolerance(tol: float) -> None:
+    """Refuse a --tol that some finite gap could fail to pass: not
+    positive (NaN included, as NumericContext refuses it) or infinite."""
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    if tol == math.inf:
+        raise ValueError("tolerance must be finite")
+
+
 def cmd_tau(ns) -> int:
     spec = _spec(ns)
     S = tau(spec)
@@ -166,6 +175,7 @@ def cmd_verify(ns) -> int:
     ns.xs = _floats(ns.xs)
     ns.specs = [standard_spec(m) for m in range(2, ns.m + 1)]
     ns.ctx = nm.NumericContext(quadrature_order=ns.order, tolerance=min(ns.tol, 1e-8))
+    _check_tolerance(ns.tol)
     ok = True
     for name in list(_SUITES) if ns.suite == "all" else [ns.suite]:
         ok = _SUITES[name](ns) and ok
@@ -173,8 +183,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
-    if not ns.tol > 0:  # NaN included, as NumericContext refuses it
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(ns.tol)
     ctx = nm.NumericContext(quadrature_order=ns.order)
     xs = _floats(ns.xs)
     if ns.mode != "series":

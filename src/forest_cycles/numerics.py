@@ -9,6 +9,12 @@ The series and the integral satisfy I(x) = (-1)^m Li(z(x)) for depth m;
 both quantities are exposed unnormalized and the sign relation is
 checked by ``checks.integral_vs_series`` rather than hidden inside
 either function.
+
+numpy is imported inside ``simplex_integral`` and ``_integration_matrix``,
+after the integral's input checks, and nowhere else in the package.  So
+the exact commands (``tau``, ``phi``, ``eval series`` and every ``verify``
+suite but ``numeric``) never load it, while ``verify numeric``, ``verify
+all`` and ``eval integral|compare`` load it at their first integral.
 """
 
 from __future__ import annotations
@@ -16,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, Sequence
-
-import numpy as np
 
 from .cycle_algebra import CycleTerm
 from .formal import FormalSum, perm_parity
@@ -123,6 +127,8 @@ def _integration_matrix(t: np.ndarray) -> np.ndarray:
     shifted to vanish at u = -1, mapped back from coefficients to values
     by one solve, and halved for dt = du/2.
     """
+    import numpy as np
+
     n = len(t)
     k = np.arange(n)
     vander = np.polynomial.chebyshev.chebvander(2.0 * t - 1.0, n)
@@ -149,6 +155,8 @@ def simplex_integral(x: Sequence[float], ctx: NumericContext = DEFAULT_CTX) -> f
     for v in xs:
         if not (v < 0.0 or v > 1.0):
             raise ValueError(f"singular integrand: x = {v} is not outside [0,1]")
+    import numpy as np  # here, after the checks: the exact engine never loads it
+
     n = 2 * ctx.quadrature_order
     t = (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))) / 2.0
     Q = _integration_matrix(t)

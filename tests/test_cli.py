@@ -137,9 +137,11 @@ def test_missing_tree_file_is_usage_error(capsys):
     ["eval", "integral", "--x", "2,nan"],
     ["verify", "all", "--x", "nan"],
     ["verify", "numeric", "--tol", "nan"],
+    ["verify", "numeric", "--tol", "inf"],
     ["eval", "compare", "--x", "3,2", "--tol", "0"],
     ["eval", "compare", "--x", "3,2", "--tol", "-1"],
     ["eval", "compare", "--x", "3,2", "--tol", "nan"],
+    ["eval", "compare", "--x", "3,2", "--tol", "inf"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     assert main(argv) == 2
