@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: tau (emit a tree sum), phi (emit its cycle image or the
-image of a tree file), verify (run a named verification suite), eval
-(numeric series / integral / comparison).  Exit codes: 0 pass, 1
-verification failure, 2 usage or unsupported-class errors.
+Subcommands: tau (emit a tree sum), phi (emit its cycle image or the image of a
+tree file), verify (run a named verification suite), eval (numeric series /
+integral / comparison).  Exit codes: 0 pass, 1 verification failure, 2 usage or
+unsupported-class errors, 141 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
+from dataclasses import replace
 
 from . import checks
 from . import forest_algebra as fa
@@ -36,15 +38,6 @@ def _floats(text: str) -> list:
     if any(map(math.isnan, xs)):
         raise ValueError(f"not a number in --x {text}")
     return xs
-
-
-def _check_tolerance(tol: float) -> None:
-    """Refuse a --tol that some finite gap could fail to pass: not
-    positive (NaN included, as NumericContext refuses it) or infinite."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    if tol == math.inf:
-        raise ValueError("tolerance must be finite")
 
 
 def cmd_tau(ns) -> int:
@@ -174,8 +167,9 @@ def cmd_verify(ns) -> int:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     ns.xs = _floats(ns.xs)
     ns.specs = [standard_spec(m) for m in range(2, ns.m + 1)]
-    ns.ctx = nm.NumericContext(quadrature_order=ns.order, tolerance=min(ns.tol, 1e-8))
-    _check_tolerance(ns.tol)
+    # NumericContext checks --order, then --tol; the suites' series use 1e-8 at most
+    ctx = nm.NumericContext(quadrature_order=ns.order, tolerance=ns.tol)
+    ns.ctx = replace(ctx, tolerance=min(ns.tol, 1e-8))
     ok = True
     for name in list(_SUITES) if ns.suite == "all" else [ns.suite]:
         ok = _SUITES[name](ns) and ok
@@ -183,7 +177,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
-    _check_tolerance(ns.tol)
+    nm.NumericContext(tolerance=ns.tol)  # the rule for --tol, before the order's
     ctx = nm.NumericContext(quadrature_order=ns.order)
     xs = _floats(ns.xs)
     if ns.mode != "series":
@@ -249,6 +243,13 @@ def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
     try:
         return ns.handler(ns)
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more, the flush at exit
+        # included, and exit as a filter killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (OutOfClassError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -121,10 +121,10 @@ class Monomial(tuple):
             return other
         return _product(list(self), other)
 
-    def rename(self, mapping: Dict[Sym, Sym]) -> "Monomial":
-        """Rename symbols by a mapping that is one-to-one on the symbols of
-        this monomial (unmapped symbols stay); no exponents merge."""
-        return _new(Monomial, sorted([(mapping.get(s, s), e) for s, e in self]))
+    def rename(self, mapping: Dict[Sym, Optional[Sym]]) -> "Monomial":
+        """Rename symbols through ``monomial``: an unmapped symbol stays, a
+        symbol mapped to None is dropped, and exponents that meet are added."""
+        return monomial([(t, e) for s, e in self if (t := mapping.get(s, s)) is not None])
 
     def __repr__(self) -> str:
         return f"Monomial(exps={tuple(self)!r})"
@@ -209,7 +209,6 @@ class CycleTerm:
     coords: Tuple[Coordinate, ...]
     _hash: int = field(init=False, repr=False, compare=False)
     _params: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _top_syms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(self.coords))
@@ -236,9 +235,7 @@ class CycleTerm:
 
     @property
     def top_syms(self) -> tuple:
-        if self._top_syms is None:
-            object.__setattr__(self, "_top_syms", self._syms_of_rank(RANK_TOP))
-        return self._top_syms
+        return self._syms_of_rank(RANK_TOP)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coords) + "]"

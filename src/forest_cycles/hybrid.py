@@ -5,7 +5,7 @@ the ordered topological variables s1 <= ... <= sr in [0,1].  On top of
 the algebraic boundary it carries the simplex-boundary differential
 delta, the alternating sum over the restrictions s1 = 0, s_{k+1} = s_k
 and s_r = 1.  Past s1 = 0, which empties a term or leaves the class,
-each restriction is one symbol map on the monomials.
+each restriction is one ``Coordinate.rename`` of every coordinate.
 
 Sign conventions, fixed once and verified by both shipped fixtures:
 
@@ -27,29 +27,28 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, OutOfClassError, boundary,
-                            cycle_sum, dimension, monomial)
+from .cycle_algebra import (CycleTerm, FormalSum, OutOfClassError, boundary, cycle_sum,
+                            dimension)
 from .serialize import cycle_sum_from_json
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, topological
 
 
 def _restriction(coords, k: int, r: int) -> list:
-    """The k-th restriction (1 <= k <= r) as one symbol map: s_j -> s_{j-1}
-    for j > k if k < r, else s_r -> 1; ``monomial`` adds merged exponents."""
+    """The k-th restriction (1 <= k <= r) as one ``Coordinate.rename``: s_j -> s_{j-1}
+    for j > k if k < r, adding merged exponents, else s_r -> None (s_r = 1)."""
     if k < r:
         image = {topological(j): topological(j - 1) for j in range(k + 1, r + 1)}
     else:
         image = {topological(r): None}
-    return [Coordinate(monomial([(s2, e) for s, e in q if (s2 := image.get(s, s))]),
-                       one_minus)
-            for q, one_minus in coords]
+    return [c.rename(image) for c in coords]
 
 
 def delta_term(t: CycleTerm) -> FormalSum:
     """The simplex-boundary fence of one term, its restrictions in one
     ``cycle_sum``, since they share most coordinates."""
-    r = len(t.top_syms)
-    if [s.index for s in t.top_syms] != list(range(1, r + 1)):
+    indices = [s.index for s in t.top_syms]  # one walk of the term, as nothing caches it
+    r = len(indices)
+    if indices != list(range(1, r + 1)):
         raise ValueError(f"topological variables of {t} are not s1..s{r}")
     s1 = topological(1)
     # k = 0: s1 = 0.  Any coordinate containing s1 with positive exponent

@@ -53,6 +53,8 @@ class NumericContext:
                 f"{INTEGRATION_MEMORY_BUDGET >> 20} MB memory budget")
         if not self.tolerance > 0:  # NaN included
             raise ValueError("tolerance must be positive")
+        if self.tolerance == math.inf:  # every truncation would pass
+            raise ValueError("tolerance must be finite")
 
 
 DEFAULT_CTX = NumericContext()

@@ -1,14 +1,31 @@
 """Shared builders for the test modules."""
 
+import importlib.util
 import itertools
+import json
 import random
+from importlib import resources
+from pathlib import Path
 
 from forest_cycles import (Coordinate, CycleTerm, ForestTerm, Leaf, Node,
                            RDecoTree, deco, monomial)
 from forest_cycles.cycle_algebra import cycle_sum
 from forest_cycles.forest_algebra import edge_count
 from forest_cycles.forest_cycling import _tree_coords
+from forest_cycles.hybrid import FIXTURES
+from forest_cycles.serialize import cycle_term_from_json
 from forest_cycles.symbols import UNIT, sym_from_name, topological
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name: str):
+    """The module ``bench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def lf(name):
@@ -47,6 +64,28 @@ def ct(*coords):
 
 def csum(*entries):
     return cycle_sum(entries)
+
+
+def fixture_terms():
+    """The terms of the bounding fixtures, chain then target, with their
+    coordinates as stored, before any canonicalization."""
+    for name in FIXTURES:
+        data = json.loads(resources.files("forest_cycles").joinpath(
+            "fixtures").joinpath(f"{name}.json").read_text())
+        for part in ("chain", "target"):
+            for entry in data[part]:
+                yield cycle_term_from_json(entry)
+
+
+def random_coords(rng: random.Random, names, most: int, p_om: float) -> list:
+    """1..most coordinates, each 1 - q with odds ``p_om`` and else bare,
+    over 1..3 of ``names`` with exponents up to +-2."""
+    coords = []
+    for _ in range(rng.randint(1, most)):
+        picked = rng.sample(names, rng.randint(1, 3))
+        exps = {s: rng.choice((-2, -1, 1, 2)) for s in picked}
+        coords.append((om if rng.random() < p_om else bare)(**exps))
+    return coords
 
 
 def two_leaf_tree():

@@ -5,27 +5,15 @@ package functions by module and name, so a rename in ``src/`` would
 otherwise only show up as a failing benchmark run.
 """
 
-import importlib.util
 import sys
-from pathlib import Path
 
 import forest_cycles as fc
 from forest_cycles import forest_algebra as fa  # the package imports every traced module
-from helpers import left_comb3
-
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _load_bench(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import BENCH, left_comb3, load_bench
 
 
 def test_tracer_wraps_every_traced_function():
-    tracing = _load_bench("tracing")
+    tracing = load_bench("tracing")
     homes = [(sys.modules[f"{tracing.PACKAGE}.{mod}"], name)
              for mod, name, _pre, _post in tracing.TRACED]
     originals = [getattr(mod, name) for mod, name in homes]
@@ -49,7 +37,7 @@ def test_tracer_wraps_every_traced_function():
 def test_tracer_sees_normalize_and_faces_under_the_chain_map():
     # a fast path inlined past these module globals would hide the two
     # layers from the per-layer benchmark
-    tracer = _load_bench("tracing").Tracer()
+    tracer = load_bench("tracing").Tracer()
     tracer.install()
     try:
         fc.boundary(fc.phi(fc.tree_sum(left_comb3())))
@@ -64,7 +52,7 @@ def test_tracer_sees_normalize_and_faces_under_the_chain_map():
 
 def test_forest_laws_workload_runs_one_full_pass(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))  # for its own imports of inputs and oracle
-    workload = _load_bench("workloads").WORKLOADS["forest-laws"](fc, 1)
+    workload = load_bench("workloads").WORKLOADS["forest-laws"](fc, 1)
     workload.expect()
     # each case runs before the generator is asked for the next
     verdicts = [call() for _label, call in workload.cases()]

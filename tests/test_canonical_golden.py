@@ -11,16 +11,15 @@ differential must leave these untouched.
 import hashlib
 import json
 import random
-from importlib import resources
 
 from forest_cycles import (OutOfClassError, boundary, checks, d, is_admissible,
                            normalize, phi, standard_spec, tau)
 from forest_cycles.cycle_algebra import INF, face_outcome
 from forest_cycles.forest_algebra import d_contributions, forest_sum
-from forest_cycles.serialize import (cycle_sum_to_json, cycle_term_from_json,
-                                     cycle_term_to_json, forest_sum_to_json,
-                                     forest_term_to_json)
-from helpers import bare, ct, forest, hybrid_image, lf, nd, om, tr
+from forest_cycles.serialize import (cycle_sum_to_json, cycle_term_to_json,
+                                     forest_sum_to_json, forest_term_to_json)
+from helpers import (ct, fixture_terms, forest, hybrid_image, lf, nd, om, random_coords,
+                     tr)
 
 EXPECTED = {
     "phi_tau":
@@ -52,16 +51,6 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
-def _fixture_terms():
-    # the raw stored coordinates, before any canonicalization
-    for name in ("double_log", "triple_log"):
-        data = json.loads(resources.files("forest_cycles").joinpath(
-            "fixtures").joinpath(f"{name}.json").read_text())
-        for part in ("chain", "target"):
-            for entry in data[part]:
-                yield cycle_term_from_json(entry)
-
-
 def _boundary_or_error(S):
     # repeated leaf names can pin a face coordinate at a constant, which
     # the boundary reports as a class error
@@ -69,18 +58,6 @@ def _boundary_or_error(S):
         return cycle_sum_to_json(boundary(S))
     except OutOfClassError as exc:
         return {"error": str(exc)}
-
-
-def _random_term(rng):
-    # bare and 1 - q coordinates over parameters, a constant and two
-    # topological variables, with exponents up to +-2
-    names = ("u1", "u2", "u3", "a", "s1", "s2")
-    coords = []
-    for _ in range(rng.randint(1, 4)):
-        picked = rng.sample(names, rng.randint(1, 3))
-        exps = {s: rng.choice((-2, -1, 1, 2)) for s in picked}
-        coords.append((om if rng.random() < 0.6 else bare)(**exps))
-    return ct(*coords)
 
 
 def _face_outcomes(seeds) -> list:
@@ -107,7 +84,9 @@ def _face_outcomes(seeds) -> list:
         rng = random.Random(seed)
         terms = [t for t, _ in phi(forest_sum([(checks.random_forest(rng), 1)]))]
         terms += [t for t, _ in hybrid_image(rng)]
-        terms.append(_random_term(rng))
+        # bare and 1 - q coordinates over parameters, a constant and two
+        # topological variables
+        terms.append(ct(*random_coords(rng, ("u1", "u2", "u3", "a", "s1", "s2"), 4, 0.6)))
         for t in terms:
             faces(t, True)
     return records
@@ -131,7 +110,7 @@ def golden_outputs() -> dict:
     walked = [t for m in range(2, 6) for t in sorted(phis[m].terms(), key=str)]
     reports = [is_admissible(t) for t in walked + [violation]]
     normalized = []
-    for t in _fixture_terms():
+    for t in fixture_terms():
         res = normalize(t.coords)
         normalized.append(None if res is None
                           else [cycle_term_to_json(res[0]), res[1]])

@@ -1,8 +1,13 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import forest_cycles
 from forest_cycles import numerics
 from forest_cycles.cli import main
 
@@ -121,6 +126,21 @@ def test_malformed_tree_file_is_usage_error(blob, key, tmp_path, capsys):
 def test_missing_tree_file_is_usage_error(capsys):
     assert main(["phi", "--tree", "/does/not/exist.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_quietly_as_on_sigpipe():
+    # a reader that stops after one line, as `| head -1` does; the 160 kB
+    # of output outgrow the pipe, so a later write finds it closed
+    src = str(Path(forest_cycles.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forest_cycles.cli", "tau", "--m", "7", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 @pytest.mark.parametrize("argv", [

@@ -286,6 +286,14 @@ def test_renamed_monomial_eq_and_hash_agree_with_built_one():
     assert ct1 == ct2 and hash(ct1) == hash(ct2)
 
 
+def test_rename_adds_exponents_that_meet_and_drops_symbols_mapped_to_none():
+    u1, u2, u3 = parameter(1), parameter(2), parameter(3)
+    a = constant("a")
+    assert monomial({u1: 1, u2: 1}).rename({u2: u1}) == monomial({u1: 2})
+    assert monomial({u1: 1, u2: -1, a: 1}).rename({u2: u1}) == monomial({a: 1})
+    assert monomial({u1: 1, u3: 2, a: -1}).rename({u3: None}) == monomial({u1: 1, a: -1})
+
+
 def test_unpickled_term_hashes_like_a_local_one():
     # a str hash differs between processes, so a cached hash must not
     # travel inside the pickle

@@ -9,7 +9,7 @@ from forest_cycles import (NumericContext, check_diffLi, eval_topological_cycle,
                            simplex_integral, x_from_z, z_from_x)
 from forest_cycles.numerics import (MAX_QUADRATURE_ORDER, diff_li11_coefficients,
                                     integral_error_estimate, li1)
-from helpers import bare, csum, ct, om
+from helpers import bare, csum, ct, load_bench, om
 
 
 LI_11 = 0.03833434649573273        # weight 2 series at (1/2, 1/3)
@@ -71,6 +71,8 @@ def test_context_validation():
         NumericContext(tolerance=0.0)
     with pytest.raises(ValueError):
         NumericContext(quadrature_order=MAX_QUADRATURE_ORDER + 1)
+    with pytest.raises(ValueError, match="must be finite"):
+        NumericContext(tolerance=math.inf)
 
 
 def _oracle_points():
@@ -78,21 +80,6 @@ def _oracle_points():
     rng = random.Random(5)
     return [[rng.choice((-1, 1)) * rng.uniform(0.15, 0.6) for _ in range(depth)]
             for depth in range(1, 9) for _ in range(4)]
-
-
-def _mp_nested_sum(z, mpmath):
-    """sum over 0 < k1 < ... < km of prod z_i^k_i / k_i at 30 digits, cut
-    where 0.6^K is below 1e-35."""
-    with mpmath.workdps(40):
-        cut = 160
-        below = [mpmath.mpf(1)] * (cut + 1)  # sums over the earlier indices
-        for v in z:
-            running = mpmath.mpf(0)
-            for k in range(1, cut + 1):
-                term = mpmath.mpf(v) ** k / k * below[k]
-                below[k] = running
-                running += term
-        return running
 
 
 def test_integral_matches_series_to_depth_eight():
@@ -103,9 +90,10 @@ def test_integral_matches_series_to_depth_eight():
 
 
 def test_integral_and_series_match_mpmath_to_depth_eight():
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
+    nested_sum = load_bench("oracle").nested_sum  # the benchmark's oracle, at 30 digits
     for z in _oracle_points():
-        ref = float(_mp_nested_sum(z, mpmath))
+        ref = nested_sum(z).real
         assert multiple_log_series(z).real == pytest.approx(ref, rel=1e-12, abs=0)
         assert simplex_integral(x_from_z(z)) == pytest.approx(
             (-1) ** len(z) * ref, rel=1e-12, abs=0)

@@ -2,7 +2,6 @@
 table outlives the call that made it."""
 
 import gc
-import json
 import random
 import re
 from importlib import resources
@@ -14,19 +13,8 @@ from forest_cycles import (D, OutOfClassError, boundary, checks, concat, is_admi
 from forest_cycles import cycle_algebra as ca
 from forest_cycles import forest_cycling
 from forest_cycles.cycle_algebra import INF, Readings, face_outcome, normalize
-from forest_cycles.serialize import cycle_term_from_json
 from forest_cycles.symbols import RANK_PARAM
-from helpers import bare, generic_forest, lf, nd, om, tr
-
-
-def _fixture_coords():
-    # the raw stored coordinates of the bounding fixtures
-    for name in ("double_log", "triple_log"):
-        data = json.loads(resources.files("forest_cycles").joinpath(
-            "fixtures").joinpath(f"{name}.json").read_text())
-        for part in ("chain", "target"):
-            for entry in data[part]:
-                yield cycle_term_from_json(entry).coords
+from helpers import bare, fixture_terms, generic_forest, lf, nd, om, random_coords, tr
 
 
 def _edge_cases():
@@ -58,16 +46,7 @@ def _random_coords():
     # bare and 1 - q coordinates over a small pool of symbols, so the same
     # monomial comes back across inputs, in both shapes
     rng = random.Random(11)
-    names = ("u1", "u2", "u3", "a", "s1")
-    inputs = []
-    for _ in range(300):
-        coords = []
-        for _ in range(rng.randint(1, 5)):
-            picked = rng.sample(names, rng.randint(1, 3))
-            exps = {s: rng.choice((-2, -1, 1, 2)) for s in picked}
-            coords.append((om if rng.random() < 0.5 else bare)(**exps))
-        inputs.append(coords)
-    return inputs
+    return [random_coords(rng, ("u1", "u2", "u3", "a", "s1"), 5, 0.5) for _ in range(300)]
 
 
 def _tau_face_inputs():
@@ -90,7 +69,7 @@ def _tau_face_inputs():
 
 
 def _inputs():
-    return (list(_fixture_coords()) + _edge_cases() + _random_coords()
+    return ([t.coords for t in fixture_terms()] + _edge_cases() + _random_coords()
             + _forest_images() + _tau_face_inputs())
 
 
