@@ -13,7 +13,7 @@ from .cycle_algebra import (Coordinate, CycleTerm, Monomial, OutOfClassError,
                             monomial, normalize)
 from .forest_algebra import (ForestTerm, Leaf, Node, RDecoTree,
                              canonical_edge_order, contract, d, grade,
-                             is_generic, is_generic_tree, star, tree_sum)
+                             is_generic, star, tree_sum)
 from .forest_cycling import phi, phi_tree
 from .formal import FormalSum
 from .hybrid import (D, delta, is_negligible, load_fixture, topological_part,

@@ -111,7 +111,7 @@ def tau_cancellation(specs) -> CheckResult:
     """d(tau) is its closed form: the internal-edge part vanishes and the
     rest equals ``tau.d_tau_closed_form``, the tree-level linearized
     coproduct of I(0; x1..xm; 1), whose terms are products of two trees.
-    The witness names m and the first differing forest in repr order."""
+    The witness names m and the first differing forest in ``listed`` order."""
     def offence(spec):
         internal, rest = d_tau_parts(spec)
         if not internal.is_zero():
@@ -119,7 +119,7 @@ def tau_cancellation(specs) -> CheckResult:
         closed = d_tau_closed_form(spec)
         gap = rest - closed
         if not gap.is_zero():
-            F = min(gap.terms(), key=repr)
+            F, _ = sz.listed(gap)[0]
             return (f"m = {spec.m}: {sz.forest_term_to_latex(F)} has coefficient "
                     f"{dict(rest).get(F, 0)} in d(tau) and "
                     f"{dict(closed).get(F, 0)} in the closed form")

@@ -49,7 +49,7 @@ def cmd_tau(ns) -> int:
         print(sz.forest_sum_to_latex(S))
     else:
         print(f"tau over {spec.m} decorations: {len(S)} trees")
-        for F, c in sorted(S, key=lambda fc_: repr(fc_[0])):
+        for F, c in sz.listed(S):
             print(f"  {c} * {sz.forest_term_to_latex(F)}")
     return 0
 
@@ -69,7 +69,7 @@ def cmd_phi(ns) -> int:
     elif ns.fmt == "latex":
         print(sz.cycle_sum_to_latex(S))
     else:
-        for t, c in sorted(S, key=lambda tc: str(tc[0])):
+        for t, c in sz.listed(S):
             print(f"{c} * {t}")
     return 0
 

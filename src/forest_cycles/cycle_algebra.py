@@ -35,10 +35,10 @@ makes a ``Readings`` table, filled on a miss: ``cycle_sum``, through
 which every sum of raw coordinate lists is built, ``boundary``, an
 ``AdmissibilityWalk`` and a lone ``normalize`` or ``face_outcome`` call
 each make one and drop it with the call or the walk; nothing is cached
-at module level, so a repeated call computes again.  The faces of a term share one reading of the term, whose pivot
-index maps each parameter to the coordinates it enters: a face edits a
-copy of the coordinate list at those positions only, and hands the table
-on to ``normalize``.
+at module level, so a repeated call computes again.  The faces of a term
+share one reading of the term, whose pivot index maps each parameter to
+the coordinates it enters: a face edits a copy of the coordinate list at
+those positions only, and hands the table on to ``normalize``.
 
 The values below a term are plain tuples underneath, so they are built,
 hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
@@ -612,11 +612,13 @@ def face_outcome(t: CycleTerm, i: int, eps, *,
     itself."""
     if not 1 <= i <= t.n:
         raise ValueError(f"face index {i} out of range")
+    at_zero = eps == 0
+    if not at_zero and eps != INF:
+        raise ValueError(f"face at eps = {eps!r}: eps must be 0 or inf")
     readings, rows, where = reading or _read_term(t, Readings())
     coord = t.coords[i - 1]
     q, one_minus = coord
     params = () if rows[i - 1] is None else rows[i - 1][1]
-    at_zero = not (eps == INF or eps == "inf")
 
     if one_minus and at_zero:
         # solve q = 1 for its least parameter p of exponent e = +-1: p = r^-e

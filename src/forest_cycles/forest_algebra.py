@@ -233,10 +233,6 @@ def grade(F: ForestTerm) -> Tuple[int, int]:
             sum(leaf_count(t) for t in F.trees))
 
 
-def is_generic_tree(T: RDecoTree) -> bool:
-    return is_generic(ForestTerm((T,)))
-
-
 def is_generic(F: ForestTerm) -> bool:
     """Joint distinctness of all external decorations across the forest."""
     decos = [x for t in F.trees for x in external_decorations(t)]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Tuple
 
 _EXACT = (int, Fraction)  # coefficient types stored as given
 
@@ -33,9 +33,6 @@ class FormalSum:
             self._terms[term] = c
         else:
             self._terms.pop(term, None)
-
-    def items(self) -> Iterator[Tuple[object, Fraction]]:
-        return iter(self._terms.items())
 
     def terms(self):
         return list(self._terms.keys())

@@ -29,7 +29,7 @@ from importlib import resources
 
 from .cycle_algebra import (CycleTerm, FormalSum, OutOfClassError, boundary, cycle_sum,
                             dimension)
-from .serialize import cycle_sum_from_json
+from .serialize import cycle_sum_from_json, listed
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, topological
 
 
@@ -109,11 +109,20 @@ def is_topologically_decomposable(t: CycleTerm) -> bool:
     return len(reached) < n
 
 
+def negligible_reason(t: CycleTerm) -> str | None:
+    """Why t cannot contribute to the extracted integral, or None when it
+    can: a coordinate is constant (its pullback 1-form vanishes), else the
+    term is topologically decomposable."""
+    if has_constant_coordinate(t):
+        return "constant coordinate"
+    if is_topologically_decomposable(t):
+        return "topologically decomposable"
+    return None
+
+
 def is_negligible(t: CycleTerm) -> bool:
-    """Terms that cannot contribute to the extracted integral: either a
-    coordinate is constant (its pullback 1-form vanishes) or the term is
-    topologically decomposable."""
-    return has_constant_coordinate(t) or is_topologically_decomposable(t)
+    """True when ``negligible_reason`` gives t a reason."""
+    return negligible_reason(t) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -125,27 +134,17 @@ class BoundingReport:
     residual: list = field(default_factory=list)   # (term, coeff, reason)
     offending: list = field(default_factory=list)  # non-negligible residual terms
 
-    def summary(self) -> str:
-        lines = [f"bounding check: {'pass' if self.passed else 'FAIL'}"]
-        for term, coeff, reason in self.residual:
-            lines.append(f"  negligible {coeff} * {term}  ({reason})")
-        for term, coeff in self.offending:
-            lines.append(f"  NOT negligible {coeff} * {term}")
-        return "\n".join(lines)
-
 
 def verify_bounding(chain: FormalSum, target: FormalSum) -> BoundingReport:
     """Assert D(chain) - target consists of negligible terms only."""
-    residual = D(chain) - target
     report = BoundingReport(passed=True)
-    for t, c in sorted(residual, key=lambda tc: str(tc[0])):
-        if has_constant_coordinate(t):
-            report.residual.append((t, c, "constant coordinate"))
-        elif is_topologically_decomposable(t):
-            report.residual.append((t, c, "topologically decomposable"))
-        else:
+    for t, c in listed(D(chain) - target):
+        reason = negligible_reason(t)
+        if reason is None:
             report.passed = False
             report.offending.append((t, c))
+        else:
+            report.residual.append((t, c, reason))
     return report
 
 

@@ -76,10 +76,16 @@ def forest_term_from_json(obj) -> ForestTerm:
     return ForestTerm(tuple(tree_from_json(t) for t in obj["trees"]), sign)
 
 
-def _sum_entries(S: FormalSum, term_key, term_to_json):
-    """The terms of S in ``term_key`` order, each as a JSON object with a
+def listed(S: FormalSum) -> list:
+    """The (term, coefficient) pairs of S by ``str`` of the term (a forest
+    term's pinned ``repr``): the one order in which a sum is written."""
+    return sorted(S, key=lambda tc: str(tc[0]))
+
+
+def _sum_entries(S: FormalSum, term_to_json):
+    """The terms of S in ``listed`` order, each as a JSON object with a
     "coeff" string, made one at a time."""
-    for t, c in sorted(S, key=lambda tc: term_key(tc[0])):
+    for t, c in listed(S):
         yield dict(term_to_json(t), coeff=str(c))
 
 
@@ -95,7 +101,7 @@ def _sum_from_json(entries, term_from_json):
 
 
 def forest_sum_entries(S: FormalSum):
-    return _sum_entries(S, repr, forest_term_to_json)
+    return _sum_entries(S, forest_term_to_json)
 
 
 def forest_sum_to_json(S: FormalSum) -> list:
@@ -132,7 +138,7 @@ def cycle_term_from_json(obj) -> CycleTerm:
 
 
 def cycle_sum_entries(S: FormalSum):
-    return _sum_entries(S, str, cycle_term_to_json)
+    return _sum_entries(S, cycle_term_to_json)
 
 
 def cycle_sum_to_json(S: FormalSum) -> list:
@@ -199,17 +205,16 @@ def _coeff_prefix(c: Fraction) -> str:
     return ("+" if c > 0 else "-") + str(abs(c)) + r"\,"
 
 
-def _sum_to_latex(S: FormalSum, term_key, term_to_latex) -> str:
-    """The terms of S in ``term_key`` order, each after its coefficient."""
+def _sum_to_latex(S: FormalSum, term_to_latex) -> str:
+    """The terms of S in ``listed`` order, each after its coefficient."""
     if S.is_zero():
         return "0"
-    text = " ".join(_coeff_prefix(c) + term_to_latex(t)
-                    for t, c in sorted(S, key=lambda tc: term_key(tc[0])))
+    text = " ".join(_coeff_prefix(c) + term_to_latex(t) for t, c in listed(S))
     return text[1:] if text.startswith("+") else text
 
 
 def cycle_sum_to_latex(S: FormalSum) -> str:
-    return _sum_to_latex(S, str, cycle_term_to_latex)
+    return _sum_to_latex(S, cycle_term_to_latex)
 
 
 def _node_to_latex(node) -> str:
@@ -234,4 +239,4 @@ def forest_term_to_latex(F: ForestTerm) -> str:
 
 
 def forest_sum_to_latex(S: FormalSum) -> str:
-    return _sum_to_latex(S, repr, forest_term_to_latex)
+    return _sum_to_latex(S, forest_term_to_latex)

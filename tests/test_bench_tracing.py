@@ -2,10 +2,14 @@
 
 ``bench/workloads.py`` calls the package and ``bench/tracing.py`` wraps
 package functions by module and name, so a rename in ``src/`` would
-otherwise only show up as a failing benchmark run.
+otherwise only show up as a failing benchmark run.  One pass of every
+workload, its ``apart`` operations included, runs here.
 """
 
+import json
 import sys
+
+import pytest
 
 import forest_cycles as fc
 from forest_cycles import forest_algebra as fa  # the package imports every traced module
@@ -50,10 +54,20 @@ def test_tracer_sees_normalize_and_faces_under_the_chain_map():
     assert metrics["cycle_algebra.face_outcome.calls"][0] == 10
 
 
-def test_forest_laws_workload_runs_one_full_pass(monkeypatch):
+# the workloads that ``bench/run.py`` runs, as ``BENCHMARK.json`` declares them
+BENCHMARK = json.loads(BENCH.with_name("BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_runs_one_full_pass(name, monkeypatch):
+    if name == "periods":
+        pytest.importorskip("mpmath")  # for the reference sums of its ``expect``
     monkeypatch.syspath_prepend(str(BENCH))  # for its own imports of inputs and oracle
-    workload = load_bench("workloads").WORKLOADS["forest-laws"](fc, 1)
+    workload = load_bench("workloads").WORKLOADS[name](fc, 1)
     workload.expect()
     # each case runs before the generator is asked for the next
     verdicts = [call() for _label, call in workload.cases()]
     assert len(verdicts) == workload.case_count()
+    for _label, call in workload.apart:
+        call()

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import forest_cycles
-from forest_cycles import numerics
+from forest_cycles import checks, numerics, phi, standard_spec, tau
+from forest_cycles import serialize as sz
 from forest_cycles.cli import main
 
 tau_module = importlib.import_module("forest_cycles.tau")  # not the tau function
@@ -26,6 +28,34 @@ def test_tau_json_output(capsys):
     assert len(entries) == 1
     assert entries[0]["coeff"] == "1"
     assert entries[0]["trees"][0]["root"] == "1"
+
+
+def test_a_forest_terms_str_is_its_repr():
+    # so forest output, listed by str, keeps the order of the pinned repr
+    rng = random.Random(0)
+    forests = [*tau(standard_spec(5)).terms(), *(checks.random_forest(rng) for _ in range(200))]
+    assert all(str(F) == repr(F) for F in forests)
+
+
+@pytest.mark.parametrize("cmd, sum_of, to_json, to_latex, line", [
+    ("tau", tau, sz.forest_term_to_json, sz.forest_term_to_latex,
+     lambda F, c: f"  {c} * {sz.forest_term_to_latex(F)}"),
+    ("phi", lambda spec: phi(tau(spec)), sz.cycle_term_to_json, sz.cycle_term_to_latex,
+     lambda t, c: f"{c} * {t}"),
+])
+def test_every_format_writes_the_sum_in_listed_order(cmd, sum_of, to_json, to_latex, line,
+                                                     capsys):
+    listed = sz.listed(sum_of(standard_spec(5)))
+    assert main([cmd, "--m", "5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [dict(to_json(t), coeff=str(c))
+                                                   for t, c in listed]
+    assert {c for _, c in listed} <= {1, -1}  # so each LaTeX prefix is a bare sign
+    latex = " ".join(("+" if c == 1 else "-") + to_latex(t) for t, c in listed)
+    assert main([cmd, "--m", "5", "--format", "latex"]) == 0
+    assert capsys.readouterr().out == latex.removeprefix("+") + "\n"
+    assert main([cmd, "--m", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-len(listed):] == [line(t, c)
+                                                                    for t, c in listed]
 
 
 def test_phi_latex_output(capsys):

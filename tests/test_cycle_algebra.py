@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from forest_cycles import (OutOfClassError, checks, concat, dimension, face,
                            is_admissible, normalize, phi, standard_spec, tau,
                            tree_sum)
-from forest_cycles.cycle_algebra import (AdmissibilityWalk, cycle_sum,
+from forest_cycles.cycle_algebra import (INF, AdmissibilityWalk, cycle_sum,
                                          face_outcome, unit_sum)
 from forest_cycles.formal import FormalSum
 from helpers import bare, csum, ct, generic_tree, om
@@ -88,8 +88,8 @@ def test_zero_face_rejects_two_topological_variables():
 def test_infinity_face_flags_blowup():
     t, _ = normalize([bare(u1=1), om(u1=1)])
     with pytest.raises(OutOfClassError):
-        face(t, t.coords.index(om(u1=1)) + 1, "inf")
-    out = face_outcome(t, t.coords.index(om(u1=1)) + 1, "inf")
+        face(t, t.coords.index(om(u1=1)) + 1, INF)
+    out = face_outcome(t, t.coords.index(om(u1=1)) + 1, INF)
     assert out.flags
 
 
@@ -97,12 +97,20 @@ def test_empty_limit_dominates_blowup():
     # in the full line fixture the 1-a/u coordinate goes to 1 first
     t, _ = normalize(_ca())
     i = t.coords.index(bare(u1=1)) + 1
-    assert face(t, i, "inf").is_zero()
+    assert face(t, i, INF).is_zero()
 
 
 def test_face_index_out_of_range():
     with pytest.raises(ValueError):
         face(ct(om(a=1)), 2, 0)
+
+
+@pytest.mark.parametrize("eps", ["zero", "inf", None, 1, -INF])
+def test_face_refuses_eps_other_than_zero_and_infinity(eps):
+    t = ct(om(a=1, u1=1))
+    for take in (face, face_outcome):
+        with pytest.raises(ValueError, match="eps"):
+            take(t, 1, eps)
 
 
 def test_boundary_squared_on_monomial_terms():
@@ -132,7 +140,7 @@ def test_concat_renames_clashing_parameters():
     A = csum(([om(u1=1, a=1), om(u1=-1)], 1))
     B = csum(([om(u1=1, b=1), om(u1=-1)], 1))
     prod = concat(A, B)
-    (t, _), = prod.items()
+    (t, _), = prod
     assert dimension(t) == 2
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from forest_cycles import (canonical_edge_order, checks, contract, d, grade,
-                           is_generic, is_generic_tree, star, tree_sum)
+                           is_generic, star, tree_sum)
 from forest_cycles.checks import random_forest
 from forest_cycles.forest_algebra import (MAX_TREE_DEPTH, edge_count,
                                           edge_is_internal, forest_sum,
@@ -122,8 +122,8 @@ def test_even_factors_commute():
 
 
 def test_genericity():
-    assert is_generic_tree(two_leaf_tree())
-    assert not is_generic_tree(tr("1", nd(lf("x1"), lf("x1"))))
+    assert is_generic(forest(two_leaf_tree()))
+    assert not is_generic(forest(tr("1", nd(lf("x1"), lf("x1")))))
     # joint distinctness counts the unit root, so two planted roots collide
     assert not is_generic(forest(tr("1", lf("x1")), tr("1", lf("x2"))))
     assert is_generic(forest(tr("1", lf("x1")), tr("x2", lf("x3"))))
@@ -134,7 +134,7 @@ def test_grade_additive_under_star():
     A = tree_sum(two_leaf_tree())
     B = tree_sum(tr("1", lf("x3")))
     prod = star(A, B)
-    (F, _), = prod.items()
+    (F, _), = prod
     assert grade(F) == (4, 3)
 
 
