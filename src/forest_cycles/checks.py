@@ -98,7 +98,7 @@ def star_leibniz(pairs) -> CheckResult:
         A, B = (fa.forest_sum([(F, 1)]) for F in pair)
         if A.is_zero() or B.is_zero():
             return None
-        eA = fa.grade(A.terms()[0])[0]
+        eA = sum(map(fa.edge_count, A.terms()[0].trees))
         gap = (fa.d(fa.star(A, B)) - fa.star(fa.d(A), B)
                - fa.star(A, fa.d(B)).scale((-1) ** eA))
         if not gap.is_zero():

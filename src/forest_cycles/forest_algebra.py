@@ -25,6 +25,9 @@ tree is deeper than ``MAX_TREE_DEPTH`` internal levels, which keeps
 every comparison inside the recursion limit.  ``flatten``, with a stack
 of its own, is the one walk of a tree: the edge order, and so the
 contraction signs and the coordinates of ``phi``, all come from it.
+``edge_walk`` reads it as edges, each with the vertices above it; the
+differential takes from that one walk the edge order, the vertices a
+contraction rebuilds and the position that fixes a leaf edge's sign.
 """
 
 from __future__ import annotations
@@ -167,50 +170,45 @@ def flatten(node: TreeNode):
             stack.pop()
 
 
-def canonical_edge_order(tree: RDecoTree) -> list:
-    """Depth-first edge listing; an edge is the path of its far vertex:
-    () for the root edge, p + (j,) from the node at p to its j-th child."""
-    entries = flatten(tree[2])
+def edge_walk(tree: RDecoTree):
+    """Each edge in canonical edge order, as (path, above): the path of
+    its far vertex, () for the root edge and p + (j,) from the node at p
+    to its j-th child, and the internal vertices along that path above
+    the far vertex, the top first."""
+    top = tree[2]
+    yield (), ()
+    entries = flatten(top)
     next(entries)  # the top vertex, the far end of the root edge
-    order, here = [()], [-1]  # here: the path of the vertex last listed
+    nodes, here = [top], [-1]  # here: the path of the vertex last listed
     for x in entries:
         if type(x) is tuple:  # a closing entry: back to its node
+            nodes.pop()
             here.pop()
         else:
             here[-1] += 1
-            order.append(tuple(here))
+            yield tuple(here), tuple(nodes)
             if type(x) is int:  # a node: its first child is next
+                nodes.append(nodes[-1][here[-1] + 1])
                 here.append(-1)
-    return order
 
 
-def _path_nodes(tree: RDecoTree, path: tuple) -> list:
-    """The vertices from the top down to the far end of the edge ``path``."""
-    nodes = [tree[2]]
-    for j in path:
-        node = nodes[-1]
-        if type(node) is not Node or not 0 <= j < len(node) - 2:
-            raise ValueError(f"invalid edge handle {path!r}")
-        nodes.append(node[j + 1])
-    return nodes
+def canonical_edge_order(tree: RDecoTree) -> list:
+    """Depth-first edge listing, each edge given by its path."""
+    return [p for p, _ in edge_walk(tree)]
 
 
 def node_at(tree: RDecoTree, path: tuple) -> TreeNode:
-    return _path_nodes(tree, path)[-1]
+    """The far vertex of the edge ``path``; a ValueError if there is none."""
+    node = tree[2]
+    for j in path:
+        if type(node) is not Node or not 0 <= j < len(node) - 2:
+            raise ValueError(f"invalid edge handle {path!r}")
+        node = node[j + 1]
+    return node
 
 
 def edge_count(tree: RDecoTree) -> int:
     return tree[0]
-
-
-def _edge_index(nodes: list, path: tuple) -> int:
-    """Position of the edge ``path`` in the canonical edge order, from the
-    vertices along it: each step down passes the edge taken and every
-    edge of the earlier siblings."""
-    k = 0
-    for node, j in zip(nodes, path):
-        k += 1 + sum(map(_edges, node[1:j + 1]))
-    return k
 
 
 def external_decorations(tree: RDecoTree) -> list:
@@ -220,11 +218,6 @@ def external_decorations(tree: RDecoTree) -> list:
 
 def leaf_count(tree: RDecoTree) -> int:
     return len(external_decorations(tree)) - 1
-
-
-def edge_is_internal(tree: RDecoTree, path: tuple) -> bool:
-    """True iff both endpoints of the edge are internal vertices."""
-    return path != () and type(node_at(tree, path)) is Node
 
 
 def grade(F: ForestTerm) -> Tuple[int, int]:
@@ -294,7 +287,7 @@ def star(A: FormalSum, B: FormalSum) -> FormalSum:
 # ---------------------------------------------------------------------------
 # contraction
 
-def _rebuild(nodes: list, path: tuple, new: tuple) -> Node:
+def _rebuild(nodes: tuple, path: tuple, new: tuple) -> Node:
     """The top vertex with the vertex at the nonempty ``path`` replaced by
     the vertices ``new``, in its place in the planar order; ``nodes`` are
     the vertices along ``path`` above the replaced one."""
@@ -303,9 +296,10 @@ def _rebuild(nodes: list, path: tuple, new: tuple) -> Node:
     return new[0]
 
 
-def contract_components(tree: RDecoTree, path: tuple):
-    """Contract one edge; returns (components, sign), or None when the
-    contraction is degenerate.
+def contract_components(tree: RDecoTree, path: tuple, above: tuple, k: int):
+    """Contract one edge, the k-th of ``tree``, with ``path`` and ``above``
+    as ``edge_walk`` yields them; returns (components, sign), or None
+    when the contraction is degenerate.
 
     The components are listed so that their canonical edge orders,
     concatenated, are the canonical edge order of ``tree`` without
@@ -315,37 +309,38 @@ def contract_components(tree: RDecoTree, path: tuple):
     differential is zero (the differential preserves the leaf count, and
     no nonempty forest has zero edges and one leaf).
     """
-    nodes = _path_nodes(tree, path)
-    far = nodes[-1]
     root_deco = tree[1]
-
     if path == ():
+        far = tree[2]
         if type(far) is Leaf:
             return None
         # root edge: the root and the top vertex merge into a new root
         # carrying the root decoration; every child is planted there.
         return tuple(RDecoTree(root_deco, ch) for ch in far[1:-1]), 1
 
+    q, j = path[:-1], path[-1]
+    parent = above[-1]
+    far = parent[j + 1]
     if type(far) is Node:
         # internal edge: splice the far children into the parent list,
         # which keeps every other edge in depth-first order
-        return (RDecoTree(root_deco, _rebuild(nodes[:-1], path, far[1:-1])),), 1
+        return (RDecoTree(root_deco, _rebuild(above, path, far[1:-1])),), 1
 
     # leaf edge: merge the leaf into its parent vertex, which then carries
     # the leaf decoration, and split there.  The component containing the
     # original root keeps it and sees the merged vertex as a leaf; every
-    # other branch is planted at the merged vertex.
-    q, j = path[:-1], path[-1]
+    # other branch is planted at the merged vertex, which the root
+    # component sees as the leaf ``far`` itself.
     lam = far[1]
-    parent = nodes[-2]
-    leaf = Leaf(lam)
-    root = RDecoTree(root_deco, _rebuild(nodes[:-2], q, (leaf,)) if q else leaf)
+    root = RDecoTree(root_deco, _rebuild(above[:-1], q, (far,)) if q else far)
     branches = tuple(RDecoTree(lam, ch) for ch in parent[1:j + 1] + parent[j + 2:-1])
     # In ``tree`` the ``below`` branch edges come right after the edge q,
     # before the ``after`` edges that follow the subtree of q; listing the
-    # root component first moves the branch edges past those.
+    # root component first moves the branch edges past those.  The edge
+    # q sits k - 1 places before the leaf edge, less the edges of the
+    # earlier siblings.
     edges = parent[-1][1]
-    after = tree[0] - edges - _edge_index(nodes, q)
+    after = tree[0] - edges - (k - 1 - sum(map(_edges, parent[1:j + 1])))
     below = edges - 2  # the edge q and the leaf edge are not branch edges
     return (root,) + branches, (-1) ** (after * below)
 
@@ -364,8 +359,8 @@ def d_contributions(F: ForestTerm):
     trees = F.trees
     edge_sign = F.sign  # F.sign * (-1)^k at the k-th edge
     for i, T in enumerate(trees):
-        for p in canonical_edge_order(T):
-            cut = contract_components(T, p)
+        for k, (p, above) in enumerate(edge_walk(T)):
+            cut = contract_components(T, p, above, k)
             term = None
             if cut is not None:
                 comps, sign = cut

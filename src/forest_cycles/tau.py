@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 from .formal import FormalSum
 from .forest_algebra import (ForestTerm, Leaf, Node, RDecoTree, add_forest,
-                             d_contributions, edge_is_internal, forest_sum)
+                             d_contributions, forest_sum)
 from .symbols import UNIT, DecoSymbol, standard_decorations
 
 MAX_TREES = 250_000  # per sum: m = 13 (208,012 trees) is the largest m within it
@@ -85,12 +85,15 @@ def tau(spec: TauSpec) -> FormalSum:
 
 
 def d_tau_parts(spec: TauSpec) -> Tuple[FormalSum, FormalSum]:
-    """d(tau) as its internal-edge part and the rest, from one walk."""
+    """d(tau) as its internal-edge part and the rest, from one walk.  Of
+    the contractions of one tree only an internal edge leaves one tree:
+    the root edge plants two or more children, a leaf edge leaves a
+    branch."""
     internal, rest = FormalSum(), FormalSum()
     for T in tau_trees(spec):
-        for _, p, result, coeff in d_contributions(ForestTerm((T,))):
+        for _, _, result, coeff in d_contributions(ForestTerm((T,))):
             if result is not None:
-                (internal if edge_is_internal(T, p) else rest).add_term(result, coeff)
+                (internal if len(result.trees) == 1 else rest).add_term(result, coeff)
     return internal, rest
 
 

@@ -36,6 +36,8 @@ def test_tracer_wraps_every_traced_function():
     # one contribution per edge of the five-edge tree, five surviving terms
     assert metrics["forest_algebra.d_contributions.yields"][0] == 5
     assert metrics["forest_algebra.d.terms_out"][0] == 5
+    # one contraction per edge, each through the module global the tracer wraps
+    assert tracer.stats[("forest_algebra", "contract_components")].calls == 5
 
 
 def test_tracer_sees_normalize_and_faces_under_the_chain_map():

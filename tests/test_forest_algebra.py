@@ -5,9 +5,9 @@ import pytest
 from forest_cycles import (canonical_edge_order, checks, contract, d, grade,
                            is_generic, star, tree_sum)
 from forest_cycles.checks import random_forest
-from forest_cycles.forest_algebra import (MAX_TREE_DEPTH, edge_count,
-                                          edge_is_internal, forest_sum,
-                                          leaf_count, node_at)
+from forest_cycles.forest_algebra import (MAX_TREE_DEPTH, Node, d_contributions,
+                                          edge_count, forest_sum, leaf_count,
+                                          node_at)
 from helpers import forest, left_comb3, lf, nd, tr, two_leaf_tree
 
 
@@ -24,12 +24,15 @@ def test_grade_counts_edges_and_leaves():
     assert grade(forest(two_leaf_tree(), tr("1", lf("x3")))) == (4, 3)
 
 
-def test_edge_classification():
-    T = left_comb3()
-    assert not edge_is_internal(T, ())
-    assert edge_is_internal(T, (0,))
-    assert not edge_is_internal(T, (0, 0))
-    assert not edge_is_internal(T, (1,))
+def test_only_internal_edges_contract_one_tree_to_one_tree():
+    # the rule by which ``tau.d_tau_parts`` tells the internal edges apart
+    rng = random.Random(23)
+    trees = [left_comb3()] + [T for _ in range(200) for T in random_forest(rng, 14).trees]
+    for T in trees:
+        for _, p, result, _ in d_contributions(forest(T)):
+            if result is not None:
+                internal = p != () and isinstance(node_at(T, p), Node)
+                assert (len(result.trees) == 1) == internal, (T, p)
 
 
 def test_node_at_paths():

@@ -1,8 +1,8 @@
 """The value kernels against plain references: monomial arithmetic
 against exponent dicts, the symbol and coordinate orders against
-explicit sort keys, the tree order, edge count and leaf-edge contraction
-sign against the edge listing, the permutation sign against a count
-of inversions, the edge coordinates of ``phi`` against
+explicit sort keys, the tree order, edge count, edge walk and every
+edge contraction against the edge listing, the permutation sign
+against a count of inversions, the edge coordinates of ``phi`` against
 vertex values read along the edge listing, and pickling of every value
 type.  Monomials and coordinates are tuples underneath; the tuple
 operations that are not monomial arithmetic must not leak through."""
@@ -164,21 +164,34 @@ def _reference_tree_key(tree) -> tuple:
             _reference_node_key(tree.top))
 
 
-def _with_leaf(node, path, leaf):
+def _spliced(node, path, new):
+    """The vertices that replace ``node`` once its vertex at ``path`` is
+    replaced by the vertices ``new``."""
     if not path:
-        return leaf
+        return new
     j = path[0]
     ch = node.children
-    return fa.Node(ch[:j] + (_with_leaf(ch[j], path[1:], leaf),) + ch[j + 1:])
+    return (fa.Node(ch[:j] + _spliced(ch[j], path[1:], new) + ch[j + 1:]),)
 
 
-def _reference_leaf_contraction(tree, path):
-    """The leaf edge ``path`` contracted, with the sign read off the edge
-    listing of the root component."""
+def _reference_contraction(tree, path):
+    """The edge ``path`` contracted: the root edge plants the top's
+    children at the root, an internal edge splices the far vertex's
+    children into its parent, and a leaf edge has its sign read off the
+    edge listing of the root component."""
+    far = fa.node_at(tree, path)
+    if not path:
+        if isinstance(far, fa.Leaf):
+            return None  # the only edge of a single-edge tree
+        return tuple(fa.RDecoTree(tree.root_deco, ch) for ch in far.children), 1
+    if isinstance(far, fa.Node):
+        top, = _spliced(tree.top, path, far.children)
+        return (fa.RDecoTree(tree.root_deco, top),), 1
     q, j = path[:-1], path[-1]
     parent = fa.node_at(tree, q)
-    lam = parent.children[j].deco
-    root = fa.RDecoTree(tree.root_deco, _with_leaf(tree.top, q, fa.Leaf(lam)))
+    lam = far.deco
+    top, = _spliced(tree.top, q, (fa.Leaf(lam),))
+    root = fa.RDecoTree(tree.root_deco, top)
     branches = tuple(fa.RDecoTree(lam, ch)
                      for k, ch in enumerate(parent.children) if k != j)
     order = fa.canonical_edge_order(root)
@@ -189,13 +202,13 @@ def _reference_leaf_contraction(tree, path):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(trees)
-def test_edge_count_and_leaf_contraction_match_edge_listing(tree):
+def test_edge_count_and_contractions_match_edge_listing(tree):
     assert fa.edge_count(tree) == _reference_edge_count(tree.top)
     assert fa.edge_count(tree) == len(fa.canonical_edge_order(tree))
-    for path in fa.canonical_edge_order(tree)[1:]:
-        if isinstance(fa.node_at(tree, path), fa.Leaf):
-            assert fa.contract_components(tree, path) == \
-                _reference_leaf_contraction(tree, path)
+    for k, (path, above) in enumerate(fa.edge_walk(tree)):
+        assert above == tuple(fa.node_at(tree, path[:i]) for i in range(len(path)))
+        assert fa.contract_components(tree, path, above, k) == \
+            _reference_contraction(tree, path)
 
 
 def _top(*children):

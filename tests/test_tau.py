@@ -103,8 +103,8 @@ def test_closed_form_catches_broken_leaf_contractions(change, monkeypatch):
     # product of two trees; only the law itself sees them
     real = fa.contract_components
 
-    def mutated(tree, path):
-        cut = real(tree, path)
+    def mutated(tree, path, *walk):
+        cut = real(tree, path, *walk)
         if cut is None or not path or isinstance(fa.node_at(tree, path), Node):
             return cut
         return change(*cut)  # a leaf edge
