@@ -20,12 +20,12 @@ parity exported as a sign, and equal coordinates kill the term.
 Algebraic parameters are renamed to u1..uk by a label-invariant scheme,
 so that two parametrizations of the same cycle compare equal.
 Topological variables are never renamed; their index order is data.
-``normalize`` reads the coordinates in one walk, colours the parameters
-by their occurrences and refines the colours to a fixed point.  When
-every parameter has a colour of its own, as almost every term of the
-chain map does, the colour order is the renaming and one sort finishes
-the term.  Tied colours start an uncapped individualization-refinement
-search, so every term of the class has a canonical form.
+``normalize`` collects each parameter's occurrences in one walk, colours
+the parameters by one sort of them, and builds neighbour lists to refine
+only a tie.  When every colour is its own, as in almost every term of
+the chain map, the colour order is the renaming and the term is the
+sorted renamed coordinates, each unchanged one reused.  Ties start an
+uncapped individualization-refinement search: no term lacks a canonical form.
 
 Each coordinate is read once per top-level call.  A reading
 (``_reading``) splits a coordinate into its constants, its parameters
@@ -37,8 +37,8 @@ which every sum of raw coordinate lists is built, ``boundary``, an
 each make one and drop it with the call or the walk; nothing is cached
 at module level, so a repeated call computes again.  The faces of a term
 share one reading of the term, whose pivot index maps each parameter to
-the coordinates it enters: a face edits a copy of the coordinate list at
-those positions only, and hands the table on to ``normalize``.
+the coordinates it enters: a face edits those positions only, in a copy
+made when one changes, and hands the table on to ``normalize``.
 
 The values below a term are plain tuples underneath, so they are built,
 hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
@@ -47,20 +47,19 @@ name.  A ``Monomial`` is the tuple of its (symbol, exponent) pairs in
 symbol order, so a product is one merge of two sorted runs and no
 Python key function is called.  A ``Coordinate`` is the tuple (q, one_minus), so coordinates
 sort by their exponent pairs and then by shape, which is the order of
-the canonical form.  ``normalize`` and the faces build both with
+the canonical form.  ``normalize``, the faces and ``phi`` build both with
 ``tuple.__new__`` and no Python ``__init__``.  A ``CycleTerm`` is a
 slotted frozen dataclass that computes its hash once, at construction,
 so a term used as a dictionary key is hashed in constant time however
-deep it is; it also keeps its parameter and topological-variable tuples
-once they have been asked for.
+deep it is; it also keeps its parameter tuple, which ``normalize`` sets
+with the hash through ``_term``, past the dataclass ``__init__``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter, not_
+from operator import eq, itemgetter, not_
 from typing import Dict, Iterable, Optional, Tuple
 
 from .formal import FormalSum, perm_parity
@@ -241,6 +240,15 @@ class CycleTerm:
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
 
 
+def _term(coords: tuple, params: tuple) -> CycleTerm:
+    """A term with its hash and parameters, set past the dataclass __init__."""
+    t = object.__new__(CycleTerm)
+    object.__setattr__(t, "coords", coords)
+    object.__setattr__(t, "_hash", hash(coords))
+    object.__setattr__(t, "_params", params)
+    return t
+
+
 EMPTY_TERM = CycleTerm(())
 
 
@@ -309,13 +317,18 @@ def _parameters(k: int) -> list:
     return _PARAMS
 
 
-def _keys(parts, new, names) -> list:
-    """Each coordinate as a plain (pairs, one_minus) tuple, which compares
-    as the coordinate does, after the renaming that gives parameter
-    position i the name ``names[new[i]]``."""
-    return [(head + tuple(sorted([(names[new[i]], e) for i, e in pe])) + tail
-             if pe else head, om)
-            for head, pe, tail, om in parts]
+def _keys(parts, name) -> list:
+    """Each coordinate renamed by giving parameter position i the name
+    ``name[i]``: itself when that leaves it as it was, else built anew."""
+    keys = []
+    for c, head, pe, tail in parts:
+        if pe:
+            q = head + (((name[pe[0][0]], pe[0][1]),) if len(pe) == 1  # no sort
+                        else tuple(sorted([(name[i], e) for i, e in pe]))) + tail
+            if q != c[0]:
+                c = _new(Coordinate, (_new(Monomial, q), c[1]))
+        keys.append(c)
+    return keys
 
 
 def _least_relabeling(parts, colour, n, neighbours, names):
@@ -349,7 +362,7 @@ def _least_relabeling(parts, colour, n, neighbours, names):
     while True:
         colour, n, tried = nodes[-1]
         if n == k:
-            keys = _keys(parts, [c + 1 for c in colour], names)
+            keys = _keys(parts, [names[c + 1] for c in colour])
             order = sorted(range(len(keys)), key=keys.__getitem__)
             leaf = ([keys[i] for i in order], perm_parity(order), path[:], colour, keys, order)
             if best is None or leaf[0] < best[0]:
@@ -430,52 +443,60 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
     coordinates oddly (an orientation-reversing self-symmetry).
 
     Each coordinate is read once per top-level call: ``readings`` is the
-    caller's table, and a fresh one serves a lone call.  One walk over the
-    readings numbers the parameters and gathers what the colouring reads.
-    A coordinate's key is its exponent tuple with the parameters renamed,
-    so the keys compare as the renamed coordinates do and the winning keys
-    are the canonical coordinates.  When every colour is its own cell,
-    which is almost every term of the chain map, the colour order is the
-    renaming, and a symmetry, which fixes every colour, cannot make the
-    term zero.  Tied cells go through ``_least_relabeling``.
+    caller's table, and a fresh one serves a lone call.  One walk collects
+    each parameter's occurrences, one sort by them colours the parameters,
+    and only a tie builds the neighbour lists that refinement reads.  A
+    key is the renamed coordinate, the input object if renaming leaves it
+    unchanged, so the winning keys are the canonical coordinates.  When
+    every colour is its own cell, as in almost every term of the chain
+    map, the colour order is the renaming, and a symmetry, which fixes
+    every colour, cannot make the term zero.  Ties go to ``_least_relabeling``.
     """
     coords = tuple(raw_coords)
     if readings is None:
         readings = Readings()
     index: Dict[Sym, int] = {}  # parameter -> position, by first appearance
-    occurrences, neighbours, parts = [], [], []
+    occurrences, parts = [], []
     for c in coords:
         r = readings[c]
         if r is None:
-            if c[0].is_one:
-                return None
-            parts.append((c[0], (), (), c[1]))
+            if not c[0]:
+                return None  # the unit monomial
+            parts.append((c, None, None, None))
             continue
         head, params, tail = r
-        pe, ids = [], []  # ids is complete before the colouring reads it
+        pe = []
         for s, e, occurrence in params:
             i = index.get(s)
             if i is None:
-                i = index[s] = len(index)
+                i = index[s] = len(occurrences)
                 occurrences.append([])
-                neighbours.append([])
-            pe.append((i, e))
-            ids.append(i)
             occurrences[i].append(occurrence)
-            neighbours[i].append(ids)
-        parts.append((head, pe, tail, c[1]))
+            pe.append((i, e))
+        parts.append((c, head, pe, tail))
 
-    k = len(index)
-    first = [tuple(sorted(occ)) for occ in occurrences]
-    ordered = sorted(first)  # a colour is the start of its cell in this order
-    colour, n_colours = [bisect_left(ordered, sig) for sig in first], len(set(first))
-    if n_colours < k:
-        colour, n_colours = _refine(colour, n_colours, neighbours, range(k))
+    k = len(occurrences)
+    for occ in occurrences:
+        occ.sort()
+    # a colour is the start of its cell in the parameters sorted by occurrences
+    colour, n_colours, last = [0] * k, 0, None
+    for pos, i in enumerate(sorted(range(k), key=occurrences.__getitem__)):
+        if occurrences[i] != last:
+            start, last = pos, occurrences[i]
+            n_colours += 1
+        colour[i] = start
     names = _parameters(k)
+    if n_colours < k:
+        neighbours = [[] for _ in range(k)]  # the parameter lists of its coordinates
+        for part in parts:
+            ids = [i for i, _ in part[2] or ()]
+            for i in ids:
+                neighbours[i].append(ids)
+        colour, n_colours = _refine(colour, n_colours, neighbours, range(k))
     if n_colours == k:
-        keys = _keys(parts, [col + 1 for col in colour], names)
+        keys = _keys(parts, [names[col + 1] for col in colour])
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        sign = perm_parity(order)
+        sign = 0  # the parity of order, once the term is known to be nonzero
     else:
         # equal coordinates make the term zero under any renaming; one set
         # finds them before the search walks its tree (a root over 32 copies
@@ -486,23 +507,13 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
         if found is None:
             return None
         keys, order, sign = found
-    # the winning keys spell the canonical coordinates, built without a
-    # Python __init__; a coordinate that the renaming leaves as it was is
-    # reused.  The renaming is a bijection, so equal coordinates, which
-    # make the term zero, are equal keys next to each other.
-    out, last = [], None
-    for i in order:
-        if keys[i] == last:
-            return None
-        c = coords[i]
-        q, om = last = keys[i]
-        if q != c[0]:
-            c = _new(Coordinate, (_new(Monomial, q), om))
-        out.append(c)
-    term = CycleTerm(tuple(out))
+    out = tuple(map(keys.__getitem__, order))
+    # the renaming is a bijection, so equal coordinates, which make the
+    # term zero, are equal keys next to each other
+    if any(map(eq, out, out[1:])):
+        return None
     # the parameters are now u1..uk, so the term need not scan for them
-    object.__setattr__(term, "_params", tuple(names[1:k + 1]))
-    return term, sign
+    return _term(out, tuple(names[1:k + 1])), sign or perm_parity(order)
 
 
 def cycle_sum(entries) -> FormalSum:
@@ -572,7 +583,7 @@ def _restricted(coords, i, pivot, hits, image, readings) -> FaceOutcome:
     becomes constant ends the face: the removed point 1 empties it, which
     beats any flag, and 0 or infinity is flagged.
     """
-    new_coords, flags = list(coords), []
+    new_coords, flags = coords, []  # a list is made on the first change
     limit = image.__class__ is bool
     for j, f in hits:
         if j == i:
@@ -585,6 +596,8 @@ def _restricted(coords, i, pivot, hits, image, readings) -> FaceOutcome:
             pairs.remove((pivot, f))
             q = _product(pairs, image if f == 1 else [(s, x * f) for s, x in image])
             if not q.is_one:
+                if new_coords is coords:
+                    new_coords = list(coords)
                 new_coords[j] = _new(Coordinate, (q, c[1]))
                 continue
             img = 1
@@ -596,8 +609,7 @@ def _restricted(coords, i, pivot, hits, image, readings) -> FaceOutcome:
                      f"{'infinity' if z == INF else 0}")
     if flags:
         return FaceOutcome((), tuple(flags))
-    del new_coords[i]
-    res = normalize(new_coords, readings=readings)
+    res = normalize(new_coords[:i] + new_coords[i + 1:], readings=readings)
     if res is None:
         return _EMPTY_OUTCOME
     return FaceOutcome((res,), ())
@@ -674,20 +686,17 @@ def face(t: CycleTerm, i: int, eps) -> FormalSum:
     return out
 
 
-def boundary_term(t: CycleTerm, readings: Readings) -> FormalSum:
-    reading = _read_term(t, readings)
-    out = FormalSum()
-    for i in range(1, t.n + 1):
-        sign = 1 if i % 2 == 1 else -1
-        _add_face(out, t, i, 0, sign, reading)
-        _add_face(out, t, i, INF, -sign, reading)
-    return out
-
-
 def boundary(S: FormalSum) -> FormalSum:
     """The cycle differential: alternating sum of zero- and infinity-faces."""
+    out = FormalSum()
     readings = Readings()
-    return S.bind(lambda t: boundary_term(t, readings))
+    for t, c in S:
+        reading = _read_term(t, readings)
+        for i in range(1, t.n + 1):
+            sign = c if i % 2 == 1 else -c
+            _add_face(out, t, i, 0, sign, reading)
+            _add_face(out, t, i, INF, -sign, reading)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, Monomial, ONE, _parameters,
-                            cycle_sum)
+from .cycle_algebra import (Coordinate, CycleTerm, FormalSum, Monomial, ONE, _new,
+                            _parameters, cycle_sum)
 from .forest_algebra import Leaf, RDecoTree, flatten
 from .symbols import constant
 
@@ -28,10 +28,10 @@ def _edge_monomial(near, far) -> Monomial:
     if near == far:
         return ONE  # both the unit, or a root decoration met again at its leaf
     if far is None:
-        return Monomial(((near, 1),))
+        return _new(Monomial, ((near, 1),))
     if near is None:
-        return Monomial(((far, -1),))
-    return Monomial(((near, 1), (far, -1)) if near < far else ((far, -1), (near, 1)))
+        return _new(Monomial, ((far, -1),))
+    return _new(Monomial, ((near, 1), (far, -1)) if near < far else ((far, -1), (near, 1)))
 
 
 class _DecoSymbols(dict):
@@ -62,11 +62,11 @@ def _tree_coords(tree: RDecoTree, first_param: int,
     coords, nears, next_param = [], [symbols[tree[1]]], first_param
     for x in entries:
         if type(x) is Leaf:
-            coords.append(Coordinate(_edge_monomial(nears[-1], symbols[x[1]]), True))
+            coords.append(_new(Coordinate, (_edge_monomial(nears[-1], symbols[x[1]]), True)))
         elif type(x) is int:  # a node opens
             nears.append(names[next_param])
             next_param += 1
-            coords.append(Coordinate(_edge_monomial(nears[-2], nears[-1]), True))
+            coords.append(_new(Coordinate, (_edge_monomial(nears[-2], nears[-1]), True)))
         else:  # a node closes
             nears.pop()
     return coords, next_param

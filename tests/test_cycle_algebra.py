@@ -1,16 +1,18 @@
+from fractions import Fraction
 from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forest_cycles import (OutOfClassError, checks, concat, dimension, face,
+from forest_cycles import (OutOfClassError, boundary, checks, concat, dimension, face,
                            is_admissible, normalize, phi, standard_spec, tau,
                            tree_sum)
+from forest_cycles import cycle_algebra as ca
 from forest_cycles.cycle_algebra import (INF, AdmissibilityWalk, cycle_sum,
                                          face_outcome, unit_sum)
 from forest_cycles.formal import FormalSum
-from helpers import bare, csum, ct, generic_tree, om
+from helpers import bare, csum, ct, fixture_terms, generic_tree, om
 
 
 def _ca():
@@ -31,6 +33,73 @@ def test_normalize_kills_equal_coordinates():
     eight = [om(**{f"u{i}": 1}) for i in range(1, 9)]
     assert normalize(eight + [om(a=1)]) is None
     assert normalize(eight + [om(a=1), om(a=1)]) is None
+
+
+def test_normalize_kills_equal_parametrized_coordinates(monkeypatch):
+    # u1 enters two coordinates and u2 one, so the first colouring is
+    # already discrete and refinement never runs
+    def no_refine(*args):
+        raise AssertionError("the first colouring should be discrete")
+
+    monkeypatch.setattr(ca, "_refine", no_refine)
+    assert normalize([om(u1=1, a=-1), om(u1=1, a=-1), om(u2=1, b=-1)]) is None
+    assert normalize([om(u1=1, a=-1), om(u2=1, b=-1)]) is not None
+    monkeypatch.undo()
+    # u1 and u2 tie, and the tie survives refinement into the search;
+    # swapping them is an even permutation of the coordinates
+    searches = []
+    search = ca._least_relabeling
+    monkeypatch.setattr(ca, "_least_relabeling",
+                        lambda *args: searches.append(args) or search(*args))
+    tied = [om(u1=1, a=-1), om(u2=1, a=-1), om(u1=1, b=-1), om(u2=1, b=-1)]
+    assert normalize(tied) is not None
+    assert len(searches) == 1
+    assert normalize(tied + tied[:2]) is None
+
+
+def test_normalize_reuses_every_coordinate_it_leaves_unchanged(monkeypatch):
+    # a key that equals the coordinate it renames must be that coordinate,
+    # and the term must be built of keys: a fresh copy of each unchanged
+    # coordinate costs resident memory.  The inputs are every term of
+    # phi(tau_m), m <= 5, and every zero face of those terms.
+    made = []
+    orig = ca._keys
+
+    def spy(parts, name):
+        keys = orig(parts, name)
+        for part, key in zip(parts, keys):
+            assert key is part[0] or key != part[0]
+        made.extend(keys)
+        return keys
+
+    monkeypatch.setattr(ca, "_keys", spy)
+    terms = [t for m in range(2, 6) for t in phi(tau(standard_spec(m))).terms()]
+    calls = [lambda t=t: [normalize(t.coords)] for t in terms] + [
+        lambda t=t, i=i: face_outcome(t, i, 0).contributions
+        for t in terms for i in range(1, t.n + 1)]
+    built = 0
+    for call in calls:
+        made.clear()
+        for res in call():
+            if res is not None:
+                assert {id(c) for c in res[0].coords} <= {id(k) for k in made}
+                built += 1
+    assert built > 100
+
+
+def test_boundary_is_linear():
+    # the coefficient of a term is folded into the sign of each face
+    a, b = phi(tau(standard_spec(4))).terms()[:2]
+    c = next(t for t in fixture_terms() if not boundary(FormalSum([(t, 1)])).is_zero())
+    A, B, C = (FormalSum([(t, 1)]) for t in (a, b, c))
+    half = Fraction(1, 2)
+    S = A.scale(2) - B.scale(half) + C
+    want = boundary(A).scale(2) - boundary(B).scale(half) + boundary(C)
+    got = boundary(S)
+    assert not want.is_zero()
+    assert got == want
+    assert {t: type(x) for t, x in got} == {t: type(x) for t, x in want}
+    assert {type(x) for _, x in got} == {int, Fraction}
 
 
 def test_normalize_kills_orientation_reversing_symmetry():
