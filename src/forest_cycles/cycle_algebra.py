@@ -487,7 +487,7 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
         colour[i] = start
     names = _parameters(k)
     if n_colours < k:
-        neighbours = [[] for _ in range(k)]  # the parameter lists of its coordinates
+        neighbours = [[] for _ in range(k)]  # i -> the position lists of its coordinates
         for part in parts:
             ids = [i for i, _ in part[2] or ()]
             for i in ids:
