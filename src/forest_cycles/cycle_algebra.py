@@ -51,8 +51,7 @@ the canonical form.  ``normalize``, the faces and ``phi`` build both with
 ``tuple.__new__`` and no Python ``__init__``.  A ``CycleTerm`` is a
 slotted frozen dataclass that computes its hash once, at construction,
 so a term used as a dictionary key is hashed in constant time however
-deep it is; it also keeps its parameter tuple, which ``normalize`` sets
-with the hash through ``_term``, past the dataclass ``__init__``.
+deep it is; it also keeps its parameter tuple, which ``normalize`` sets.
 """
 
 from __future__ import annotations
@@ -238,15 +237,6 @@ class CycleTerm:
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
-
-
-def _term(coords: tuple, params: tuple) -> CycleTerm:
-    """A term with its hash and parameters, set past the dataclass __init__."""
-    t = object.__new__(CycleTerm)
-    object.__setattr__(t, "coords", coords)
-    object.__setattr__(t, "_hash", hash(coords))
-    object.__setattr__(t, "_params", params)
-    return t
 
 
 EMPTY_TERM = CycleTerm(())
@@ -496,7 +486,7 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
     if n_colours == k:
         keys = _keys(parts, [names[col + 1] for col in colour])
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        sign = 0  # the parity of order, once the term is known to be nonzero
+        sign = perm_parity(order)
     else:
         # equal coordinates make the term zero under any renaming; one set
         # finds them before the search walks its tree (a root over 32 copies
@@ -512,8 +502,10 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
     # term zero, are equal keys next to each other
     if any(map(eq, out, out[1:])):
         return None
+    term = CycleTerm(out)
     # the parameters are now u1..uk, so the term need not scan for them
-    return _term(out, tuple(names[1:k + 1])), sign or perm_parity(order)
+    object.__setattr__(term, "_params", tuple(names[1:k + 1]))
+    return term, sign
 
 
 def cycle_sum(entries) -> FormalSum:

@@ -56,7 +56,8 @@ def test_tracer_sees_normalize_and_faces_under_the_chain_map():
     finally:
         tracer.remove()
     assert metrics["forest_cycling.phi.calls"][0] == 1
-    # one call for the image, one for each face that produces a term
+    # one call for the image; for this image every later normalize call
+    # yields a term, so the count is 1 + producing
     assert metrics["cycle_algebra.normalize.calls"][0] == 1 + producing
     # two faces per coordinate of the five-coordinate image
     assert metrics["cycle_algebra.face_outcome.calls"][0] == 10
