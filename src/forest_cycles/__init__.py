@@ -11,12 +11,11 @@ layer checking the resulting iterated-integral values.
 from .cycle_algebra import (Coordinate, CycleTerm, Monomial, OutOfClassError,
                             boundary, concat, dimension, face, is_admissible,
                             monomial, normalize)
-from .forest_algebra import (ForestTerm, Leaf, Node, RDecoTree,
-                             canonical_edge_order, contract, d, grade,
-                             is_generic, star, tree_sum)
+from .forest_algebra import (ForestTerm, Leaf, Node, RDecoTree, contract, d,
+                             grade, is_generic, star, tree_sum)
 from .forest_cycling import phi, phi_tree
 from .formal import FormalSum
-from .hybrid import (D, delta, is_negligible, load_fixture, topological_part,
+from .hybrid import (D, delta, load_fixture, negligible_reason, topological_part,
                      verify_bounding)
 from .numerics import (NumericContext, check_diffLi, eval_topological_cycle,
                        eval_topological_sum, multiple_log_series,

@@ -142,7 +142,7 @@ def _suite_numeric(ns) -> bool:
         print(f"fixture {name} topological integral {value:.10f} "
               f"expected {expected:.10f}: {'pass' if good else 'FAIL'}")
         ok = ok and good
-    resid = nm.check_diffLi(0.3, 0.4, 1e-4, ns.ctx)
+    resid = nm.check_diffLi(0.3, 0.4, ns.ctx)
     good = resid < 1e-5
     print(f"differential identity residual {resid:.2e}: {'pass' if good else 'FAIL'}")
     return ok and good

@@ -416,7 +416,7 @@ def _reading(c) -> Optional[tuple]:
     end = start + ranks.count(RANK_PARAM)
     if start == end:
         return None
-    shape = (om, tuple(sorted([(s[3], "" if s[0] == RANK_PARAM else s[2], e)
+    shape = (om, tuple(sorted([(s[0], "" if s[0] == RANK_PARAM else s[2], e)
                                for s, e in exps])))
     params = tuple([(s, e, (shape, e)) for s, e in exps[start:end]])
     return exps[:start], params, exps[end:]
@@ -694,10 +694,11 @@ def boundary(S: FormalSum) -> FormalSum:
 # ---------------------------------------------------------------------------
 # product
 
-def _alpha_convert(term: CycleTerm, start: int) -> CycleTerm:
+def _alpha_convert(term: CycleTerm, start: int) -> tuple:
+    """The coordinates of term with its parameters renamed from u_start on."""
     names = _parameters(start + len(term.params))
     mapping = {p: names[start + k] for k, p in enumerate(term.params)}
-    return CycleTerm(tuple(c.rename(mapping) for c in term.coords))
+    return tuple(c.rename(mapping) for c in term.coords)
 
 
 def concat(A: FormalSum, B: FormalSum) -> FormalSum:
@@ -707,7 +708,7 @@ def concat(A: FormalSum, B: FormalSum) -> FormalSum:
     factor is renamed to fresh parameters first, which is the meaning of
     the fresh-parameter discipline under canonical storage.
     """
-    return cycle_sum((ta.coords + _alpha_convert(tb, len(ta.params) + 1).coords, ca * cb)
+    return cycle_sum((ta.coords + _alpha_convert(tb, len(ta.params) + 1), ca * cb)
                      for ta, ca in A for tb, cb in B)
 
 

@@ -192,11 +192,6 @@ def edge_walk(tree: RDecoTree):
                 here.append(-1)
 
 
-def canonical_edge_order(tree: RDecoTree) -> list:
-    """Depth-first edge listing, each edge given by its path."""
-    return [p for p, _ in edge_walk(tree)]
-
-
 def node_at(tree: RDecoTree, path: tuple) -> TreeNode:
     """The far vertex of the edge ``path``; a ValueError if there is none."""
     node = tree[2]
@@ -216,14 +211,10 @@ def external_decorations(tree: RDecoTree) -> list:
     return [tree[1]] + [x[1] for x in flatten(tree[2]) if type(x) is Leaf]
 
 
-def leaf_count(tree: RDecoTree) -> int:
-    return len(external_decorations(tree)) - 1
-
-
 def grade(F: ForestTerm) -> Tuple[int, int]:
     """(n, p) = (total edges, total leaves)."""
     return (sum(edge_count(t) for t in F.trees),
-            sum(leaf_count(t) for t in F.trees))
+            sum(len(external_decorations(t)) - 1 for t in F.trees))
 
 
 def is_generic(F: ForestTerm) -> bool:
@@ -266,8 +257,8 @@ def forest_sum(terms) -> FormalSum:
     return out
 
 
-def tree_sum(T: RDecoTree, coeff=1) -> FormalSum:
-    return forest_sum([(ForestTerm((T,)), coeff)])
+def tree_sum(T: RDecoTree) -> FormalSum:
+    return forest_sum([(ForestTerm((T,)), 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ contributes the coordinate 1 - y_near/y_far, where near is the endpoint
 closer to the root and y is the decoration (for external vertices, with
 the unit contributing no factor) or the parameter (for internal ones).
 The edges come in canonical edge order from ``forest_algebra.flatten``,
-the one walk of a tree; each internal vertex is numbered as its edge is
-listed, and each ratio is a monomial of at most two symbols in order.
+the one walk of a tree, and ``raw_image`` alone builds the coordinates
+of a tree list: each internal vertex is numbered as its edge is listed,
+the trees in blocks one after another, and each ratio is a monomial of
+at most two symbols in order.
 The ratio orientation is fixed by the two classical displayed cycles
 this map must reproduce: the weight-two cycle [1-1/u, 1-u/x1, 1-u/x2]
 and its weight-three analogue.
@@ -45,31 +47,34 @@ class _DecoSymbols(dict):
         return s
 
 
-def _tree_coords(tree: RDecoTree, first_param: int,
-                 symbols: Optional[_DecoSymbols] = None):
-    """The edge coordinates of one tree in canonical edge order, and the
-    next free parameter number.
+def raw_image(trees, symbols: Optional[_DecoSymbols] = None) -> list:
+    """The coordinates of the trees' image, unnormalized: the trees in
+    the given order, each in canonical edge order, so coordinate k is
+    edge k.  Each tree takes the next block of parameters, which maps a
+    product of trees to the concatenation of their images.
 
-    ``flatten`` lists the far vertices in that order.  An internal one
-    takes the next parameter, which numbers them in preorder, and is the
-    near vertex of the edges below it until its closing entry.
+    ``flatten`` lists the far vertices in edge order.  An internal one
+    takes the next parameter, which numbers a block in preorder, and is
+    the near vertex of the edges below it until its closing entry.
     ``symbols`` is the caller's table of decoration symbols.
     """
     if symbols is None:
         symbols = _DecoSymbols()
-    entries = list(flatten(tree[2]))
-    names = _parameters(first_param + len(entries) // 2)  # a node has two entries
-    coords, nears, next_param = [], [symbols[tree[1]]], first_param
-    for x in entries:
-        if type(x) is Leaf:
-            coords.append(_new(Coordinate, (_edge_monomial(nears[-1], symbols[x[1]]), True)))
-        elif type(x) is int:  # a node opens
-            nears.append(names[next_param])
-            next_param += 1
-            coords.append(_new(Coordinate, (_edge_monomial(nears[-2], nears[-1]), True)))
-        else:  # a node closes
-            nears.pop()
-    return coords, next_param
+    coords, next_param = [], 1
+    for tree in trees:
+        entries = list(flatten(tree[2]))
+        names = _parameters(next_param + len(entries) // 2)  # a node has two entries
+        nears = [symbols[tree[1]]]
+        for x in entries:
+            if type(x) is Leaf:
+                coords.append(_new(Coordinate, (_edge_monomial(nears[-1], symbols[x[1]]), True)))
+            elif type(x) is int:  # a node opens
+                nears.append(names[next_param])
+                next_param += 1
+                coords.append(_new(Coordinate, (_edge_monomial(nears[-2], nears[-1]), True)))
+            else:  # a node closes
+                nears.pop()
+    return coords
 
 
 def phi_tree(T: RDecoTree) -> CycleTerm:
@@ -80,21 +85,11 @@ def phi_tree(T: RDecoTree) -> CycleTerm:
     ``phi``, which canonicalizes.  Non-generic trees are mapped too; the
     admissibility guarantee is simply void for them.
     """
-    coords, _ = _tree_coords(T, 1)
-    return CycleTerm(tuple(coords))
+    return CycleTerm(tuple(raw_image((T,))))
 
 
 def phi(S: FormalSum) -> FormalSum:
-    """Linear extension to forest sums; trees of one forest term get
-    disjoint parameter blocks, so the product of trees maps to the
-    concatenation product of their images."""
+    """Linear extension to forest sums, through ``raw_image`` with one
+    table of decoration symbols a call."""
     symbols = _DecoSymbols()
-
-    def entries():
-        for F, c in S:
-            coords, next_param = [], 1
-            for tree in F.trees:
-                tc, next_param = _tree_coords(tree, next_param, symbols)
-                coords.extend(tc)
-            yield coords, c * F.sign
-    return cycle_sum(entries())
+    return cycle_sum((raw_image(F.trees, symbols), c * F.sign) for F, c in S)

@@ -77,14 +77,6 @@ class FormalSum:
         out._terms = dict(self._terms)
         return out
 
-    def bind(self, f) -> "FormalSum":
-        """Sum of f(term) scaled by the coefficients; f returns a FormalSum."""
-        out = FormalSum()
-        for t, c in self._terms.items():
-            for t2, c2 in f(t):
-                out.add_term(t2, c * c2)
-        return out
-
     def __repr__(self) -> str:
         if not self._terms:
             return "FormalSum(0)"

@@ -15,6 +15,9 @@ Sign conventions, fixed once and verified by both shipped fixtures:
   termwise, where a is the number of distinct algebraic parameters of
   the term.
 
+``delta`` and ``D`` add the fences of a sum in one loop, ``_add_fences``;
+only ``D`` applies the twist.
+
 The twist makes D square to zero: delta commutes with the algebraic
 boundary restriction by restriction, and every surviving boundary face
 eliminates exactly one algebraic parameter, so the twisted cross terms
@@ -60,18 +63,24 @@ def delta_term(t: CycleTerm) -> FormalSum:
     return cycle_sum((_restriction(t.coords, k, r), (-1) ** k) for k in range(1, r + 1))
 
 
+def _add_fences(out: FormalSum, S: FormalSum, twist: bool) -> FormalSum:
+    """out plus the fence of each term of S by its coefficient, the
+    coefficient negated on a term of odd dimension if ``twist``."""
+    for t, c in S:
+        if twist and dimension(t) % 2:
+            c = -c
+        for t2, c2 in delta_term(t):
+            out.add_term(t2, c * c2)
+    return out
+
+
 def delta(S: FormalSum) -> FormalSum:
-    return S.bind(delta_term)
+    return _add_fences(FormalSum(), S, False)
 
 
 def D(S: FormalSum) -> FormalSum:
     """Total differential: boundary plus the parameter-count twist of delta."""
-    out = boundary(S)
-    for t, c in S:
-        twist = -1 if dimension(t) % 2 == 1 else 1
-        for t2, c2 in delta_term(t):
-            out.add_term(t2, c * c2 * twist)
-    return out
+    return _add_fences(boundary(S), S, True)
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +127,6 @@ def negligible_reason(t: CycleTerm) -> str | None:
     if is_topologically_decomposable(t):
         return "topologically decomposable"
     return None
-
-
-def is_negligible(t: CycleTerm) -> bool:
-    """True when ``negligible_reason`` gives t a reason."""
-    return negligible_reason(t) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -239,10 +239,11 @@ def diff_li11_coefficients(x: float, y: float):
     return (li1(y) - quotient) / (1 - x), li1(x * y) / (1 - y)
 
 
-def check_diffLi(x: float, y: float, h: float = 1e-4,
-                 ctx: NumericContext = DEFAULT_CTX) -> float:
-    """Max residual of central finite differences of the series, which
-    refuses a perturbed point off the polydisc, against the closed form."""
+def check_diffLi(x: float, y: float, ctx: NumericContext = DEFAULT_CTX) -> float:
+    """Max residual of central finite differences of the series, step
+    1e-4, which refuses a perturbed point off the polydisc, against the
+    closed form."""
+    h = 1e-4
     def li11(*z):
         return multiple_log_series(z, ctx).real
     fdx = (li11(x + h, y) - li11(x - h, y)) / (2 * h)

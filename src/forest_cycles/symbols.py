@@ -5,7 +5,9 @@ external vertices (``DecoSymbol``), while cycle coordinates are built
 from multiplicative symbols (``Sym``) whose kind separates fixed
 constants from algebraic parameters and topological simplex variables.
 Both are plain tuples underneath, so the forest and cycle layers hash,
-compare and sort symbols at native-tuple speed.
+compare and sort symbols at native-tuple speed.  A symbol stores its
+kind once, as its rank: the tuple's first entry and the kind's position
+in ``KINDS``.
 """
 
 from __future__ import annotations
@@ -13,13 +15,10 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 
-KIND_CONST = "const"
-KIND_PARAM = "param"
-KIND_TOP = "top"
-
-# a symbol's first entry; every kind test reads it in place of the kind name
+# the kinds by rank, a symbol's first entry; every kind test reads the rank
+KINDS = KIND_CONST, KIND_PARAM, KIND_TOP = "const", "param", "top"
 RANK_CONST, RANK_PARAM, RANK_TOP = 0, 1, 2
-KIND_RANK = {KIND_CONST: RANK_CONST, KIND_PARAM: RANK_PARAM, KIND_TOP: RANK_TOP}
+KIND_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
 
 
 class DecoSymbol(tuple):
@@ -61,8 +60,8 @@ def deco(name: str) -> DecoSymbol:
 
 
 def standard_decorations(m: int):
-    """The unit root decoration plus leaf decorations x1..xm."""
-    return UNIT, tuple(DecoSymbol(f"x{i}") for i in range(1, m + 1))
+    """The leaf decorations x1..xm."""
+    return tuple(DecoSymbol(f"x{i}") for i in range(1, m + 1))
 
 
 class Sym(tuple):
@@ -73,21 +72,24 @@ class Sym(tuple):
     topological simplex variable (s1, s2, ...); there the index order is
     semantic and never renamed.
 
-    A symbol is the tuple (kind rank, index, name, kind).  Its hash,
-    equality and order are the tuple's, so they run in C; the order is
-    the symbol order (constants, parameters, topological variables, each
-    by index, then name), and the kind, which the rank determines, never
-    decides a comparison.
+    A symbol is the tuple (rank, index, name), the rank standing for the
+    kind as its position in ``KINDS``.  Its hash, equality and order are
+    the tuple's, so they run in C; the order is the symbol order
+    (constants, parameters, topological variables, each by index, then
+    name).
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: str, name: str, index: int = 0):
-        return tuple.__new__(cls, (KIND_RANK[kind], index, name, kind))
+        return tuple.__new__(cls, (KIND_RANK[kind], index, name))
 
     index = property(itemgetter(1))
     name = property(itemgetter(2))
-    kind = property(itemgetter(3))
+
+    @property
+    def kind(self) -> str:
+        return KINDS[self[0]]
 
     def __getnewargs__(self):
         return (self.kind, self.name, self.index)

@@ -56,7 +56,7 @@ class TauSpec:
 def standard_spec(m: int) -> TauSpec:
     """The spec on the leaf decorations x1..xm."""
     check_tree_budget(m)
-    return TauSpec(standard_decorations(m)[1])
+    return TauSpec(standard_decorations(m))
 
 
 def _binary_shapes(leaves):
@@ -139,6 +139,6 @@ class DecomposabilityReport:
 def check_decomposable(spec: TauSpec) -> DecomposabilityReport:
     """Every term of d(tau) should be a product of exactly two trees."""
     internal, rest = d_tau_parts(spec)
-    counts = dict(Counter(len(F.trees) for F, _ in rest + internal))
+    counts = dict(Counter(len(F.trees) for part in (rest, internal) for F, _ in part))
     return DecomposabilityReport(m=spec.m, all_two_trees=set(counts) <= {2},
                                  counts=counts)

@@ -11,7 +11,7 @@ from forest_cycles import (Coordinate, CycleTerm, ForestTerm, Leaf, Node,
                            RDecoTree, deco, monomial)
 from forest_cycles.cycle_algebra import cycle_sum
 from forest_cycles.forest_algebra import edge_count
-from forest_cycles.forest_cycling import _tree_coords
+from forest_cycles.forest_cycling import raw_image
 from forest_cycles.hybrid import FIXTURES
 from forest_cycles.serialize import cycle_term_from_json
 from forest_cycles.symbols import UNIT, sym_from_name, topological
@@ -139,10 +139,9 @@ def hybrid_image(rng: random.Random, max_edges: int = 10):
     of a generic forest of r = 1..3 trees, each rooted at the unit, with
     s_k multiplied into the root-edge coordinate of tree k (the first
     coordinate of the tree)."""
-    coords = []
-    next_param = 1
-    for k, T in enumerate(generic_forest(rng, max_edges).trees, start=1):
-        tc, next_param = _tree_coords(RDecoTree(UNIT, T.top), next_param)
-        tc[0] = Coordinate(tc[0].q * monomial({topological(k): 1}), True)
-        coords.extend(tc)
+    trees = [RDecoTree(UNIT, T.top) for T in generic_forest(rng, max_edges).trees]
+    coords, root_edge = raw_image(trees), 0
+    for k, T in enumerate(trees, start=1):
+        coords[root_edge] = Coordinate(coords[root_edge].q * monomial({topological(k): 1}), True)
+        root_edge += edge_count(T)
     return cycle_sum([(coords, 1)])

@@ -213,7 +213,7 @@ def test_concat_renames_clashing_parameters():
     assert dimension(t) == 2
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.randoms(use_true_random=False))
 def test_concat_leibniz_on_generic_tree_images(rng):
     # both factors use u1, u2, ...; concat renames the second apart

@@ -2,20 +2,17 @@ import random
 
 import pytest
 
-from forest_cycles import (canonical_edge_order, checks, contract, d, grade,
-                           is_generic, star, tree_sum)
+from forest_cycles import checks, contract, d, grade, is_generic, star, tree_sum
 from forest_cycles.checks import random_forest
 from forest_cycles.forest_algebra import (MAX_TREE_DEPTH, Node, d_contributions,
-                                          edge_count, forest_sum, leaf_count,
-                                          node_at)
+                                          edge_count, edge_walk, forest_sum, node_at)
 from helpers import forest, left_comb3, lf, nd, tr, two_leaf_tree
 
 
 def test_edge_order_is_preorder():
     T = left_comb3()
-    assert canonical_edge_order(T) == [(), (0,), (0, 0), (0, 1), (1,)]
+    assert [p for p, _ in edge_walk(T)] == [(), (0,), (0, 0), (0, 1), (1,)]
     assert edge_count(T) == 5
-    assert leaf_count(T) == 3
 
 
 def test_grade_counts_edges_and_leaves():

@@ -55,7 +55,7 @@ def test_phi_maps_nongeneric_input_without_logging(caplog):
     assert not [r for r in caplog.records if r.name.startswith("forest_cycles")]
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.randoms(use_true_random=False))
 def test_chain_map_and_boundary_squared_on_generic_forests(rng):
     # 1-3 trees, valency up to 5, at most 14 edges, every name fresh: a

@@ -26,7 +26,7 @@ from forest_cycles import (UNIT, Coordinate, CycleTerm, Monomial, constant, deco
 from forest_cycles import forest_algebra as fa
 from forest_cycles.checks import _random_tree
 from forest_cycles.cycle_algebra import ONE
-from forest_cycles.forest_cycling import _tree_coords
+from forest_cycles.forest_cycling import raw_image
 from forest_cycles.formal import perm_parity
 from forest_cycles.symbols import (KIND_CONST, KIND_PARAM, KIND_TOP, DecoSymbol,
                                    topological)
@@ -65,7 +65,7 @@ def monomial_pairs(draw):
     return a, b
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(monomial_pairs())
 def test_product_matches_dict_reference(pair):
     a, b = pair
@@ -74,7 +74,7 @@ def test_product_matches_dict_reference(pair):
     assert got == monomial(_times(a, b)) and hash(got) == hash(monomial(_times(a, b)))
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.lists(syms, max_size=12))
 def test_symbol_order_is_kind_rank_index_name(items):
     assert sorted(items) == sorted(items, key=_reference_sort_key)
@@ -101,7 +101,7 @@ def test_only_monomial_arithmetic_is_defined():
         "one_minus=False)")
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(exponent_dicts, st.booleans()), max_size=6))
 def test_coordinates_sort_by_exponent_pairs_then_shape(raw):
     coords = [Coordinate(monomial(a), om) for a, om in raw]
@@ -117,7 +117,7 @@ def test_coordinates_sort_by_exponent_pairs_then_shape(raw):
             assert (x == y) <= (hash(x) == hash(y))
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(exponent_dicts, st.booleans()), max_size=4))
 def test_pickle_round_trip_keeps_equality_and_hash(raw):
     coords = tuple(Coordinate(monomial(a), om) for a, om in raw)
@@ -194,17 +194,17 @@ def _reference_contraction(tree, path):
     root = fa.RDecoTree(tree.root_deco, top)
     branches = tuple(fa.RDecoTree(lam, ch)
                      for k, ch in enumerate(parent.children) if k != j)
-    order = fa.canonical_edge_order(root)
+    order = [p for p, _ in fa.edge_walk(root)]
     after = len(order) - 1 - order.index(q)
     below = _reference_edge_count(tree.top) - 1 - len(order)
     return (root,) + branches, (-1) ** (after * below)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(trees)
 def test_edge_count_and_contractions_match_edge_listing(tree):
     assert fa.edge_count(tree) == _reference_edge_count(tree.top)
-    assert fa.edge_count(tree) == len(fa.canonical_edge_order(tree))
+    assert fa.edge_count(tree) == len(list(fa.edge_walk(tree)))
     for k, (path, above) in enumerate(fa.edge_walk(tree)):
         assert above == tuple(fa.node_at(tree, path[:i]) for i in range(len(path)))
         assert fa.contract_components(tree, path, above, k) == \
@@ -220,7 +220,7 @@ PREFIX_TIE = [fa.RDecoTree(UNIT, _top(_top("x1", "x2", "x3"), _top("x4", "x1")))
               fa.RDecoTree(UNIT, _top(_top("x1", "x2"), _top("x3", "x4", "x1")))]
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(st.lists(trees, max_size=6))
 @example(PREFIX_TIE)
 def test_tree_order_matches_nested_key(items):
@@ -250,7 +250,7 @@ def test_sorted_trees_counts_odd_inversions():
     assert min(outcomes[k] for k in ("zero", 1, -1)) > 30
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.lists(trees, min_size=1, max_size=3), st.sampled_from([1, -1]))
 def test_forest_pickle_round_trip_keeps_equality_and_hash(items, sign):
     F = fa.ForestTerm(tuple(items), sign)
@@ -264,23 +264,28 @@ def test_forest_pickle_round_trip_keeps_equality_and_hash(items, sign):
         assert back == v and hash(back) == hash(v)
 
 
-def test_unpickled_forest_hashes_like_a_local_one():
-    # decoration names are strings, whose hash differs between processes,
-    # so a cached tree hash must not travel inside the pickle
-    F = fa.ForestTerm((fa.RDecoTree(UNIT, fa.Node((fa.Leaf(deco("x1")), fa.Leaf(deco("x2"))))),
-                       fa.RDecoTree(deco("x1"), fa.Leaf(deco("x3")))), -1)
+def test_unpickled_values_hash_like_local_ones():
+    # decoration and constant names are strings, whose hash differs
+    # between processes, so a cached hash must not travel inside a pickle
+    build = ("from forest_cycles import (UNIT, Coordinate, constant, deco, monomial,\n"
+             "                           normalize, parameter, topological)\n"
+             "from forest_cycles import forest_algebra as fa\n"
+             "F = fa.ForestTerm((fa.RDecoTree(UNIT, fa.Node((fa.Leaf(deco('x1')), fa.Leaf(deco('x2'))))),\n"
+             "                   fa.RDecoTree(deco('x1'), fa.Leaf(deco('x3')))), -1)\n"
+             "t, _ = normalize([Coordinate(monomial({parameter(2): 1, constant('a'): -1})),\n"
+             "                  Coordinate(monomial({parameter(2): -1}), False)])\n"
+             "values = (F, deco('x3'), t, constant('a'), parameter(2), topological(1))\n")
+    local = {}
+    exec(build, local)
     env = dict(os.environ, PYTHONHASHSEED="1",
                PYTHONPATH=str(Path(forest_cycles.__file__).parents[1]))
-    code = ("import pickle, sys\n"
-            "from forest_cycles import UNIT, deco, forest_algebra as fa\n"
-            "F = fa.ForestTerm((fa.RDecoTree(UNIT, fa.Node((fa.Leaf(deco('x1')), fa.Leaf(deco('x2'))))),\n"
-            "                   fa.RDecoTree(deco('x1'), fa.Leaf(deco('x3')))), -1)\n"
-            "sys.stdout.buffer.write(pickle.dumps((F, deco('x3'))))\n")
+    code = build + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(values))\n"
     blob = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True).stdout
-    back, x3 = pickle.loads(blob)
-    assert {back: 1}.get(F) == 1
-    assert {x3: 1}.get(deco("x3")) == 1
+    back = pickle.loads(blob)
+    for v, mine in zip(back, local["values"]):
+        assert {v: 1}.get(mine) == 1
+    assert [s.kind for s in back[3:]] == [KIND_CONST, KIND_PARAM, KIND_TOP]
 
 
 def test_forest_values_are_plain_tuples_compared_in_c():
@@ -338,18 +343,27 @@ def _reference_tree_coords(tree, first_param: int):
     rec(tree.top, ())
     coords = [Coordinate((value(tree.root_deco) if path == () else values[path[:-1]])
                          * monomial({s: -e for s, e in values[path].exps}), True)
-              for path in fa.canonical_edge_order(tree)]
+              for path, _ in fa.edge_walk(tree)]
     return coords, counter[0]
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(st.builds(_random_tree, st.randoms(use_true_random=False),
                  st.integers(1, 12), st.just(DECO_POOL)),
        st.integers(1, 5))
 def test_tree_coords_match_vertex_values_along_edge_listing(tree, first):
-    got, nxt = _tree_coords(tree, first)
-    want, want_next = _reference_tree_coords(tree, first)
-    assert nxt == want_next
+    # behind a chain of first - 1 internal vertices the tree's parameter
+    # block starts at u_first, and a copy of it takes the block after
+    lead = fa.Leaf(deco("x1"))
+    for _ in range(first - 1):
+        lead = fa.Node((fa.Leaf(deco("x1")), lead))
+    lead = fa.RDecoTree(UNIT, lead)
+    got = raw_image((lead, tree, tree))
+    want, nxt = _reference_tree_coords(lead, 1)
+    assert nxt == first
+    for _ in range(2):
+        block, nxt = _reference_tree_coords(tree, nxt)
+        want += block
     assert [c.q.exps for c in got] == [c.q.exps for c in want]
     assert got == want and [hash(c) for c in got] == [hash(c) for c in want]
 

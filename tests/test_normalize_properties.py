@@ -3,21 +3,16 @@ walk of the whole individualization-refinement tree, and the hash/eq
 contract of the cycle value types."""
 
 import itertools
-import os
-import pickle
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import forest_cycles
 from forest_cycles import (Coordinate, CycleTerm, Leaf, Node, RDecoTree, constant,
                            deco, monomial, normalize, parameter, phi_tree)
 from forest_cycles.forest_algebra import edge_count
 from forest_cycles.formal import perm_parity
+from forest_cycles.forest_cycling import raw_image
 from forest_cycles.symbols import UNIT, sym_from_name
 from helpers import generic_tree
 
@@ -35,18 +30,12 @@ def _raw_image(rng: random.Random, max_edges: int, names):
     """Raw coordinates of phi on a random forest of at most ``max_edges``
     edges, with the leaf and root names drawn from ``names`` and each
     tree's parameters in a block of its own, as ``phi`` numbers them."""
-    coords = []
-    offset = 0
+    trees = []
     left = max_edges
-    while left >= 1 and (not coords or rng.random() < 0.4):
-        T = generic_tree(rng, rng.randint((left + 1) // 2, left), names)
-        left -= edge_count(T)
-        image = phi_tree(T)
-        k = len(image.params)
-        shift = {parameter(i): parameter(offset + i) for i in range(1, k + 1)}
-        coords.extend(c.rename(shift) for c in image.coords)
-        offset += k
-    return coords
+    while left >= 1 and (not trees or rng.random() < 0.4):
+        trees.append(generic_tree(rng, rng.randint((left + 1) // 2, left), names))
+        left -= edge_count(trees[-1])
+    return raw_image(trees)
 
 
 def _raw_copies(rng: random.Random):
@@ -152,7 +141,7 @@ def _relabeled_and_shuffled(rng: random.Random, raw):
     return [raw[j].rename(relabel) for j in perm], perm
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(st.randoms(use_true_random=False), st.sampled_from(("fresh", "pool", "copies")))
 def test_normalize_invariant_under_relabeling_and_permutation(rng, inputs):
     # every copy-built tree, of about 120 edges, has tied cells (up to 27
@@ -250,7 +239,7 @@ def _brute_force_normalize(coords):
     return None if len(parities) == 2 else (CycleTerm(term), parities.pop())
 
 
-@settings(max_examples=500, deadline=None, database=None)
+@settings(max_examples=500)
 @given(st.randoms(use_true_random=False),
        st.sampled_from(("fresh", "pool", "copies", "rings", "circulants")))
 def test_normalize_is_the_least_key_over_refinement_leaves(rng, inputs):
@@ -292,20 +281,3 @@ def test_rename_adds_exponents_that_meet_and_drops_symbols_mapped_to_none():
     assert monomial({u1: 1, u2: 1}).rename({u2: u1}) == monomial({u1: 2})
     assert monomial({u1: 1, u2: -1, a: 1}).rename({u2: u1}) == monomial({a: 1})
     assert monomial({u1: 1, u3: 2, a: -1}).rename({u3: None}) == monomial({u1: 1, a: -1})
-
-
-def test_unpickled_term_hashes_like_a_local_one():
-    # a str hash differs between processes, so a cached hash must not
-    # travel inside the pickle
-    t, _ = normalize([Coordinate(monomial({parameter(2): 1, constant("a"): -1})),
-                      Coordinate(monomial({parameter(2): -1}), False)])
-    env = dict(os.environ, PYTHONHASHSEED="1",
-               PYTHONPATH=str(Path(forest_cycles.__file__).parents[1]))
-    code = ("import pickle, sys\n"
-            "from forest_cycles import Coordinate, constant, monomial, normalize, parameter\n"
-            "t, _ = normalize([Coordinate(monomial({parameter(2): 1, constant('a'): -1})),\n"
-            "                  Coordinate(monomial({parameter(2): -1}), False)])\n"
-            "sys.stdout.buffer.write(pickle.dumps(t))\n")
-    blob = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True).stdout
-    assert {pickle.loads(blob): 1}.get(t) == 1

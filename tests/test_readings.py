@@ -32,14 +32,7 @@ def _edge_cases():
 
 def _forest_images():
     rng = random.Random(5)
-    images = []
-    for _ in range(40):
-        coords, next_param = [], 1
-        for tree in generic_forest(rng, 14).trees:
-            tc, next_param = forest_cycling._tree_coords(tree, next_param)
-            coords += tc
-        images.append(coords)
-    return images
+    return [forest_cycling.raw_image(generic_forest(rng, 14).trees) for _ in range(40)]
 
 
 def _random_coords():

@@ -56,7 +56,7 @@ def test_forest_sum_round_trip_keeps_coefficients():
     assert back == S
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.randoms(use_true_random=False))
 def test_forest_json_round_trip_on_random_forests(rng):
     # both forests with sign -1, under fractional coefficients
@@ -108,7 +108,7 @@ def test_cycle_sum_round_trip():
     assert _json_round_trip(S) == S
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.randoms(use_true_random=False))
 def test_cycle_sum_json_round_trip_on_generic_images(rng):
     S = phi(forest_sum([(generic_forest(rng, 14), 1)]))
@@ -121,7 +121,7 @@ def test_cycle_sum_json_round_trip_on_generic_images(rng):
         assert _json_round_trip(Z) == Z
 
 
-@settings(max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(st.randoms(use_true_random=False))
 def test_cycle_sum_json_round_trip_on_random_hybrid_sums(rng):
     S = hybrid_image(rng)
@@ -268,7 +268,7 @@ _json_values = st.recursive(
     max_leaves=12)
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(_json_values, st.integers(0, 3000) | st.sampled_from(
     [sz.MAX_TREE_DEPTH, sz.MAX_TREE_DEPTH + 1]))
 def test_json_readers_raise_value_error_and_nothing_else(value, depth):
