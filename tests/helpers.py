@@ -1,12 +1,18 @@
 """Shared builders for the test modules."""
 
+import functools
 import importlib.util
 import itertools
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
+import forest_cycles
 from forest_cycles import (Coordinate, CycleTerm, ForestTerm, Leaf, Node,
                            RDecoTree, deco, monomial)
 from forest_cycles.cycle_algebra import cycle_sum
@@ -75,6 +81,35 @@ def fixture_terms():
         for part in ("chain", "target"):
             for entry in data[part]:
                 yield cycle_term_from_json(entry)
+
+
+# one value of each pickled type whose hash reads a string: a forest
+# term, a decoration, a canonical term and a symbol of each kind
+_PICKLED = (
+    "from forest_cycles import (UNIT, Coordinate, constant, deco, monomial,\n"
+    "                           normalize, parameter, topological)\n"
+    "from forest_cycles import forest_algebra as fa\n"
+    "F = fa.ForestTerm((fa.RDecoTree(UNIT, fa.Node((fa.Leaf(deco('x1')), fa.Leaf(deco('x2'))))),\n"
+    "                   fa.RDecoTree(deco('x1'), fa.Leaf(deco('x3')))), -1)\n"
+    "t, _ = normalize([Coordinate(monomial({parameter(2): 1, constant('a'): -1})),\n"
+    "                  Coordinate(monomial({parameter(2): -1}), False)])\n"
+    "values = (F, deco('x3'), t, constant('a'), parameter(2), topological(1))\n")
+
+
+@functools.cache
+def unpickled_values():
+    """The values of ``_PICKLED`` built here, and the same values built
+    and pickled in one other process with PYTHONHASHSEED=1, unpickled.
+    A str hash differs between processes, so a cached hash must not
+    travel inside a pickle."""
+    local = {}
+    exec(_PICKLED, local)
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=str(Path(forest_cycles.__file__).parents[1]))
+    code = _PICKLED + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(values))\n"
+    blob = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True).stdout
+    return local["values"], pickle.loads(blob)
 
 
 def random_coords(rng: random.Random, names, most: int, p_om: float) -> list:

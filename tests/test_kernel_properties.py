@@ -7,20 +7,15 @@ vertex values read along the edge listing, and pickling of every value
 type.  Monomials and coordinates are tuples underneath; the tuple
 operations that are not monomial arithmetic must not leak through."""
 
-import os
 import pickle
 import random
-import subprocess
-import sys
 from collections import Counter
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import forest_cycles
 from forest_cycles import (UNIT, Coordinate, CycleTerm, Monomial, constant, deco,
                            monomial, parameter)
 from forest_cycles import forest_algebra as fa
@@ -30,6 +25,7 @@ from forest_cycles.forest_cycling import raw_image
 from forest_cycles.formal import perm_parity
 from forest_cycles.symbols import (KIND_CONST, KIND_PARAM, KIND_TOP, DecoSymbol,
                                    topological)
+from helpers import unpickled_values
 
 RANK = {KIND_CONST: 0, KIND_PARAM: 1, KIND_TOP: 2}
 
@@ -264,27 +260,13 @@ def test_forest_pickle_round_trip_keeps_equality_and_hash(items, sign):
         assert back == v and hash(back) == hash(v)
 
 
-def test_unpickled_values_hash_like_local_ones():
+def test_unpickled_forest_hashes_like_a_local_one():
     # decoration and constant names are strings, whose hash differs
-    # between processes, so a cached hash must not travel inside a pickle
-    build = ("from forest_cycles import (UNIT, Coordinate, constant, deco, monomial,\n"
-             "                           normalize, parameter, topological)\n"
-             "from forest_cycles import forest_algebra as fa\n"
-             "F = fa.ForestTerm((fa.RDecoTree(UNIT, fa.Node((fa.Leaf(deco('x1')), fa.Leaf(deco('x2'))))),\n"
-             "                   fa.RDecoTree(deco('x1'), fa.Leaf(deco('x3')))), -1)\n"
-             "t, _ = normalize([Coordinate(monomial({parameter(2): 1, constant('a'): -1})),\n"
-             "                  Coordinate(monomial({parameter(2): -1}), False)])\n"
-             "values = (F, deco('x3'), t, constant('a'), parameter(2), topological(1))\n")
-    local = {}
-    exec(build, local)
-    env = dict(os.environ, PYTHONHASHSEED="1",
-               PYTHONPATH=str(Path(forest_cycles.__file__).parents[1]))
-    code = build + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(values))\n"
-    blob = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True).stdout
-    back = pickle.loads(blob)
-    for v, mine in zip(back, local["values"]):
-        assert {v: 1}.get(mine) == 1
+    # between processes; the canonical term is checked in
+    # test_normalize_properties
+    local, back = unpickled_values()
+    for i in (0, 1, 3, 4, 5):
+        assert {back[i]: 1}.get(local[i]) == 1
     assert [s.kind for s in back[3:]] == [KIND_CONST, KIND_PARAM, KIND_TOP]
 
 

@@ -14,7 +14,7 @@ from forest_cycles.forest_algebra import edge_count
 from forest_cycles.formal import perm_parity
 from forest_cycles.forest_cycling import raw_image
 from forest_cycles.symbols import UNIT, sym_from_name
-from helpers import generic_tree
+from helpers import generic_tree, unpickled_values
 
 MAX_EDGES = 24
 
@@ -281,3 +281,10 @@ def test_rename_adds_exponents_that_meet_and_drops_symbols_mapped_to_none():
     assert monomial({u1: 1, u2: 1}).rename({u2: u1}) == monomial({u1: 2})
     assert monomial({u1: 1, u2: -1, a: 1}).rename({u2: u1}) == monomial({a: 1})
     assert monomial({u1: 1, u3: 2, a: -1}).rename({u3: None}) == monomial({u1: 1, a: -1})
+
+
+def test_unpickled_term_hashes_like_a_local_one():
+    # a str hash differs between processes, so a cached hash must not
+    # travel inside the pickle
+    local, back = unpickled_values()
+    assert {back[2]: 1}.get(local[2]) == 1
