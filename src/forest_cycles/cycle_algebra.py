@@ -10,10 +10,13 @@ The boundary is the sum over i of (-1)^(i-1) times the face z_i = 0
 minus the face z_i = infinity.  In this class each face is one
 substitution for one parameter: the zero face of 1 - q solves q = 1 for
 a parameter of exponent +-1, and every other face sends a parameter of
-q to 0 or infinity.  One loop, ``_restricted``, substitutes in the other
-coordinates.  One that lands on the removed point 1 empties the face,
-whatever else happens; one that becomes the constant 0 or infinity is
-flagged (an admissibility violation, a class error for ``boundary``).
+q to 0 or infinity.  One loop, ``_restricted``, substitutes the solved
+parameter in the other coordinates of a zero face; a limit face is read
+off the pivot index alone, one limit per parameter of q.  A coordinate
+that lands on the removed point 1 empties the face or the limit,
+whatever else happens there; one that becomes the constant 0 or
+infinity is flagged (an admissibility violation, a class error for
+``boundary``).
 
 Terms are canonical: coordinates are sorted, with the permutation
 parity exported as a sign, and equal coordinates kill the term.
@@ -37,8 +40,9 @@ which every sum of raw coordinate lists is built, ``boundary``, an
 each make one and drop it with the call or the walk; nothing is cached
 at module level, so a repeated call computes again.  The faces of a term
 share one reading of the term, whose pivot index maps each parameter to
-the coordinates it enters: a face edits those positions only, in a copy
-made when one changes, and hands the table on to ``normalize``.
+the coordinates it enters: a zero face edits those positions only, in
+the face's coordinate list, and hands the table on to ``normalize``.  A
+lone face reads only its own coordinate and indexes only its parameters.
 
 The values below a term are plain tuples underneath, so they are built,
 hashed, compared and sorted in C.  A ``Sym`` is a tuple whose first
@@ -47,7 +51,8 @@ name.  A ``Monomial`` is the tuple of its (symbol, exponent) pairs in
 symbol order, so a product is one merge of two sorted runs and no
 Python key function is called.  A ``Coordinate`` is the tuple (q, one_minus), so coordinates
 sort by their exponent pairs and then by shape, which is the order of
-the canonical form.  ``normalize``, the faces and ``phi`` build both with
+the canonical form.  A ``FaceOutcome`` is the tuple (contributions,
+flags).  ``normalize``, the faces and ``phi`` build them with
 ``tuple.__new__`` and no Python ``__init__``.  A ``CycleTerm`` is a
 slotted frozen dataclass that computes its hash once, at construction,
 so a term used as a dictionary key is hashed in constant time however
@@ -59,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import eq, itemgetter, not_
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .formal import FormalSum, perm_parity
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, Sym, parameter
@@ -71,7 +76,7 @@ class OutOfClassError(Exception):
     """Raised when an operation would leave the monomial coordinate class."""
 
 
-_new = tuple.__new__  # builds a Monomial or a Coordinate with no Python __init__
+_new = tuple.__new__  # a Monomial, a Coordinate or a FaceOutcome with no Python __init__
 _first = itemgetter(0)
 
 
@@ -435,12 +440,13 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
     Each coordinate is read once per top-level call: ``readings`` is the
     caller's table, and a fresh one serves a lone call.  One walk collects
     each parameter's occurrences, one sort by them colours the parameters,
-    and only a tie builds the neighbour lists that refinement reads.  A
-    key is the renamed coordinate, the input object if renaming leaves it
-    unchanged, so the winning keys are the canonical coordinates.  When
-    every colour is its own cell, as in almost every term of the chain
-    map, the colour order is the renaming, and a symmetry, which fixes
-    every colour, cannot make the term zero.  Ties go to ``_least_relabeling``.
+    and only a tie builds the neighbour lists that refinement reads; a
+    term with no parameter is not coloured at all.  A key is the renamed
+    coordinate, the input object if renaming leaves it unchanged, so the
+    winning keys are the canonical coordinates.  When every colour is its
+    own cell, as in almost every term of the chain map, the colour order
+    is the renaming, and a symmetry, which fixes every colour, cannot make
+    the term zero.  Ties go to ``_least_relabeling``.
     """
     coords = tuple(raw_coords)
     if readings is None:
@@ -466,23 +472,25 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
         parts.append((c, head, pe, tail))
 
     k = len(occurrences)
-    for occ in occurrences:
-        occ.sort()
-    # a colour is the start of its cell in the parameters sorted by occurrences
-    colour, n_colours, last = [0] * k, 0, None
-    for pos, i in enumerate(sorted(range(k), key=occurrences.__getitem__)):
-        if occurrences[i] != last:
-            start, last = pos, occurrences[i]
-            n_colours += 1
-        colour[i] = start
     names = _parameters(k)
-    if n_colours < k:
-        neighbours = [[] for _ in range(k)]  # i -> the position lists of its coordinates
-        for part in parts:
-            ids = [i for i, _ in part[2] or ()]
-            for i in ids:
-                neighbours[i].append(ids)
-        colour, n_colours = _refine(colour, n_colours, neighbours, range(k))
+    colour, n_colours = (), 0  # a term with no parameter has nothing to colour
+    if k:
+        for occ in occurrences:
+            occ.sort()
+        # a colour is the start of its cell in the parameters sorted by occurrences
+        colour, last = [0] * k, None
+        for pos, i in enumerate(sorted(range(k), key=occurrences.__getitem__)):
+            if occurrences[i] != last:
+                start, last = pos, occurrences[i]
+                n_colours += 1
+            colour[i] = start
+        if n_colours < k:
+            neighbours = [[] for _ in range(k)]  # i -> the position lists of its coordinates
+            for part in parts:
+                ids = [i for i, _ in part[2] or ()]
+                for i in ids:
+                    neighbours[i].append(ids)
+            colour, n_colours = _refine(colour, n_colours, neighbours, range(k))
     if n_colours == k:
         keys = _keys(parts, [names[col + 1] for col in colour])
         order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -523,9 +531,9 @@ def cycle_sum(entries) -> FormalSum:
 # ---------------------------------------------------------------------------
 # faces
 
-@dataclass(frozen=True)
-class FaceOutcome:
-    """One face computation before sign conventions.
+class FaceOutcome(NamedTuple):
+    """One face computation before sign conventions: the tuple
+    (contributions, flags), built with ``tuple.__new__``.
 
     contributions holds (CycleTerm, sign) pairs that survived; flags
     lists degeneracies in which a coordinate became a constant 0 or
@@ -539,72 +547,64 @@ class FaceOutcome:
 
     @property
     def is_empty(self) -> bool:
-        return not self.contributions and not self.flags
+        return not self[0] and not self[1]
 
 
 _EMPTY_OUTCOME = FaceOutcome()
 
 
+def _where(coords, params) -> Dict[Sym, list]:
+    """The pivot index of the parameters ``params``: each maps to the
+    (position, exponent) pairs of the coordinates it enters, in ascending
+    position."""
+    where: Dict[Sym, list] = {s: [] for s in params}
+    for j, c in enumerate(coords):
+        for s, f in c[0]:
+            hits = where.get(s)
+            if hits is not None:
+                hits.append((j, f))
+    return where
+
+
 def _read_term(t: CycleTerm, readings: Readings) -> tuple:
-    """(readings, rows, where) of a term: ``rows[j]`` is the reading of
-    coordinate j, and ``where`` maps each parameter to the (position,
-    exponent) pairs of the coordinates it enters, in ascending position."""
-    rows = [readings[c] for c in t.coords]
-    where: Dict[Sym, list] = {}
-    for j, r in enumerate(rows):
-        if r is not None:
-            for s, f, _ in r[1]:
-                hits = where.get(s)
-                if hits is None:
-                    where[s] = [(j, f)]
-                else:
-                    hits.append((j, f))
-    return readings, rows, where
+    """(readings, where) of a term, for all its faces: the caller's table
+    and the pivot index of every parameter of t."""
+    return readings, _where(t.coords, t.params)
 
 
 def _restricted(coords, i, pivot, hits, image, readings) -> FaceOutcome:
-    """Drop coordinate i and restrict the others to the face on which the
-    parameter ``pivot`` is solved for or sent to a limit.
+    """The zero face on which the parameter ``pivot`` is solved for:
+    coordinate i dropped and the others restricted.
 
     ``hits`` are the (position, exponent) pairs of the coordinates that
     ``pivot`` enters, in ascending position; no other coordinate changes.
-    ``image`` is what ``pivot`` becomes: the sorted pairs of a monomial,
+    ``image`` is the sorted pairs of the monomial that ``pivot`` becomes,
     which one ``_product`` merges into the rest of q after raising it to
-    the exponent, or for a limit True when ``pivot^f`` goes to infinity
-    for f > 0 and False when it goes to 0.  A coordinate whose value
-    becomes constant ends the face: the removed point 1 empties it, which
-    beats any flag, and 0 or infinity is flagged.
+    the exponent.  A coordinate whose q becomes 1 ends the face: a bare
+    one sits at the removed point 1 and empties it, which beats any flag,
+    and a 1 - q one is the constant 0 and is flagged.
     """
-    new_coords, flags = coords, []  # a list is made on the first change
-    limit = image.__class__ is bool
+    face, flags = list(coords), []
+    del face[i]
     for j, f in hits:
         if j == i:
             continue
         c = coords[j]
-        if limit:
-            img = INF if (f > 0) == image else 0
+        pairs = list(c[0])
+        pairs.remove((pivot, f))
+        q = _product(pairs, image if f == 1 else [(s, x * f) for s, x in image])
+        if q:
+            face[j - (j > i)] = _new(Coordinate, (q, c[1]))
+        elif c[1]:
+            flags.append(f"coordinate {j + 1} -> constant 0")
         else:
-            pairs = list(c[0])
-            pairs.remove((pivot, f))
-            q = _product(pairs, image if f == 1 else [(s, x * f) for s, x in image])
-            if not q.is_one:
-                if new_coords is coords:
-                    new_coords = list(coords)
-                new_coords[j] = _new(Coordinate, (q, c[1]))
-                continue
-            img = 1
-        # q is now the constant img, and the coordinate the constant z
-        z = 1 - img if c[1] and img != INF else img
-        if z == 1:
             return _EMPTY_OUTCOME  # the removed point 1
-        flags.append(f"coordinate {j + 1} -> constant "
-                     f"{'infinity' if z == INF else 0}")
     if flags:
-        return FaceOutcome((), tuple(flags))
-    res = normalize(new_coords[:i] + new_coords[i + 1:], readings=readings)
+        return _new(FaceOutcome, ((), tuple(flags)))
+    res = normalize(face, readings=readings)
     if res is None:
         return _EMPTY_OUTCOME
-    return FaceOutcome((res,), ())
+    return _new(FaceOutcome, ((res,), ()))
 
 
 def face_outcome(t: CycleTerm, i: int, eps, *,
@@ -612,17 +612,42 @@ def face_outcome(t: CycleTerm, i: int, eps, *,
     """Face i (1-based) at eps in {0, inf} of a single term.
 
     ``reading`` is the term's ``_read_term``, which a caller that takes
-    several faces of one term builds once; a lone call reads the term
-    itself."""
-    if not 1 <= i <= t.n:
+    several faces of one term builds once.  A lone call reads coordinate
+    i and builds the pivot index of its parameters alone.
+
+    The zero face of 1 - q goes to ``_restricted``.  Any other face is
+    reached only through the limits u -> 0 or inf of the parameters u of
+    q that drive q there, and each limit is read off ``where[u]``: a
+    1 - q coordinate whose q goes to 0 sits at the removed point 1 and
+    empties the limit, whatever else happens; otherwise every other
+    coordinate that u enters is flagged at 0 or infinity; and when u
+    enters no other coordinate, the limit is t with coordinate i dropped.
+    """
+    coords = t.coords
+    if not 1 <= i <= len(coords):
         raise ValueError(f"face index {i} out of range")
     at_zero = eps == 0
     if not at_zero and eps != INF:
         raise ValueError(f"face at eps = {eps!r}: eps must be 0 or inf")
-    readings, rows, where = reading or _read_term(t, Readings())
-    coord = t.coords[i - 1]
+    coord = coords[i - 1]
     q, one_minus = coord
-    params = () if rows[i - 1] is None else rows[i - 1][1]
+    readings, where = reading or (Readings(), None)
+    row = readings[coord]
+    if row is None:
+        # no parameter moves q, whose topological variables are its last
+        # run: the face is empty unless it leaves the class
+        if not at_zero:
+            if q and q[-1][0][0] == RANK_TOP and any(e < 0 for s, e in q if s[0] == RANK_TOP):
+                raise OutOfClassError(
+                    f"coordinate {i} would need a topological variable at 0 to blow up")
+        elif one_minus and len(q) > 1 and q[-2][0][0] == RANK_TOP:
+            raise OutOfClassError(f"zero-face of {coord} relates two topological variables")
+        # q = 1 with constants alone, or one topological variable against
+        # generic constants: no solution on the cube resp. inside [0,1]
+        return _EMPTY_OUTCOME
+    params = row[1]
+    if where is None:
+        where = _where(coords, [s for s, _, _ in params])
 
     if one_minus and at_zero:
         # solve q = 1 for its least parameter p of exponent e = +-1: p = r^-e
@@ -631,43 +656,41 @@ def face_outcome(t: CycleTerm, i: int, eps, *,
             if e == 1 or e == -1:
                 break
         else:
-            if params:
-                raise OutOfClassError(
-                    f"zero-face of {coord}: no parameter enters with exponent +-1")
-            if sum(s[0] == RANK_TOP for s, _ in q) >= 2:
-                raise OutOfClassError(
-                    f"zero-face of {coord} relates two topological variables")
-            # constants alone, or one topological variable against generic
-            # constants: no solution on the cube resp. inside [0,1]
-            return _EMPTY_OUTCOME
-        return _restricted(t.coords, i - 1, pivot, where[pivot],
+            raise OutOfClassError(
+                f"zero-face of {coord}: no parameter enters with exponent +-1")
+        return _restricted(coords, i - 1, pivot, where[pivot],
                            [(s, -e * x) for s, x in q if s != pivot], readings)
 
-    # 1 - q at infinity, or a bare q at 0 or infinity: the face is reached
-    # only through the parameter limits u -> 0 or inf that drive q there
-    if not params:
-        if not at_zero and any(e < 0 for s, e in q if s[0] == RANK_TOP):
-            raise OutOfClassError(
-                f"coordinate {i} would need a topological variable at 0 to blow up")
-        return _EMPTY_OUTCOME
+    # 1 - q at infinity, or a bare q at 0 or infinity
     want_infinity = one_minus or not at_zero
     contributions, flags = [], []
     for sym, e, _ in params:
-        out = _restricted(t.coords, i - 1, sym, where[sym], (e > 0) == want_infinity,
-                          readings)
-        contributions += out.contributions
-        flags += out.flags
-    return FaceOutcome(tuple(contributions), tuple(flags))
+        up = (e > 0) == want_infinity  # sym^f goes to infinity for f > 0
+        hits = where[sym]
+        for j, f in hits:  # coordinate i itself never lands on 1 here
+            if (f > 0) != up and coords[j][1]:
+                break  # 1 - q with q -> 0: the removed point 1
+        else:
+            if len(hits) > 1:
+                flags += [f"coordinate {j + 1} -> constant {'infinity' if (f > 0) == up else 0}"
+                          for j, f in hits if j != i - 1]
+            else:
+                res = normalize(coords[:i - 1] + coords[i:], readings=readings)
+                if res is not None:
+                    contributions.append(res)
+    if not contributions and not flags:
+        return _EMPTY_OUTCOME
+    return _new(FaceOutcome, (tuple(contributions), tuple(flags)))
 
 
 def _add_face(out: FormalSum, t: CycleTerm, i: int, eps, sign: int,
               reading: Optional[tuple] = None) -> None:
     """Add sign times face i at eps of t to ``out``; a degenerate-constant
     outcome is a class error."""
-    res = face_outcome(t, i, eps, reading=reading)
-    if res.flags:
-        raise OutOfClassError("; ".join(res.flags))
-    for term, s in res.contributions:
+    contributions, flags = face_outcome(t, i, eps, reading=reading)
+    if flags:
+        raise OutOfClassError("; ".join(flags))
+    for term, s in contributions:
         out.add_term(term, sign * s)
 
 
@@ -753,16 +776,17 @@ class AdmissibilityWalk:
 
     def _first_violation(self, term: CycleTerm) -> Optional[tuple]:
         reading = _read_term(term, self.readings)
+        dim = dimension(term)
         for i in range(1, term.n + 1):
             for eps in (0, INF):
                 self.faces += 1
-                out = face_outcome(term, i, eps, reading=reading)
-                if out.flags:
-                    return ((i, eps, "; ".join(out.flags)),)
-                for sub, _ in out.contributions:
-                    if dimension(sub) != dimension(term) - 1:
+                contributions, flags = face_outcome(term, i, eps, reading=reading)
+                if flags:
+                    return ((i, eps, "; ".join(flags)),)
+                for sub, _ in contributions:
+                    if dimension(sub) != dim - 1:
                         return ((i, eps,
-                                 f"face eliminates {dimension(term) - dimension(sub)} parameters"),)
+                                 f"face eliminates {dim - dimension(sub)} parameters"),)
                     deeper = self.violation(sub)
                     if deeper is not None:
                         return ((i, eps, "face chain"),) + deeper

@@ -63,6 +63,23 @@ def test_tracer_sees_normalize_and_faces_under_the_chain_map():
     assert metrics["cycle_algebra.face_outcome.calls"][0] == 10
 
 
+def test_tracer_sees_normalize_and_faces_under_the_admissibility_walk():
+    # the walk too calls both layers through the module globals, or the
+    # admissibility workload's per-layer run would not see them
+    term = fc.phi(fc.tau(fc.standard_spec(4))).terms()[0]
+    tracer = load_bench("tracing").Tracer()
+    tracer.install()
+    try:
+        faces = fc.is_admissible(term).faces_checked
+        metrics = tracer.metrics()
+    finally:
+        tracer.remove()
+    assert faces > 0
+    assert metrics["cycle_algebra.is_admissible.faces_checked"][0] == faces
+    assert metrics["cycle_algebra.face_outcome.calls"][0] == faces
+    assert metrics["cycle_algebra.normalize.calls"][0] >= 1
+
+
 # the workloads that ``bench/run.py`` runs, as ``BENCHMARK.json`` declares them
 BENCHMARK = json.loads(BENCH.with_name("BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]

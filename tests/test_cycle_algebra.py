@@ -169,6 +169,17 @@ def test_empty_limit_dominates_blowup():
     assert face(t, i, INF).is_zero()
 
 
+def test_an_empty_limit_leaves_the_flags_of_the_other_limits():
+    # face 2 at infinity of [1-a*u1, 1-u1*u2, 1-1/u2] is reached through
+    # u1 -> inf and u2 -> inf.  The u2 limit sends 1 - 1/u2 to the removed
+    # point 1 and is empty; the u1 limit still sends 1 - a*u1 to infinity.
+    t, _ = normalize([om(u1=1, u2=1), om(u1=-1), om(a=1, u2=1)])
+    assert t.coords == (om(a=1, u1=1), om(u1=1, u2=1), om(u2=-1))
+    assert face_outcome(t, 2, INF) == ((), ("coordinate 1 -> constant infinity",))
+    with pytest.raises(OutOfClassError, match="^coordinate 1 -> constant infinity$"):
+        face(t, 2, INF)
+
+
 def test_face_index_out_of_range():
     with pytest.raises(ValueError):
         face(ct(om(a=1)), 2, 0)
