@@ -547,7 +547,7 @@ class FaceOutcome(NamedTuple):
 
     @property
     def is_empty(self) -> bool:
-        return not self[0] and not self[1]
+        return not self.contributions and not self.flags
 
 
 _EMPTY_OUTCOME = FaceOutcome()
