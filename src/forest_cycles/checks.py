@@ -12,8 +12,7 @@ both call these functions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import forest_algebra as fa
 from . import numerics as nm
@@ -25,8 +24,7 @@ from .symbols import UNIT, deco
 from .tau import d_tau_closed_form, d_tau_parts
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     cases: int

@@ -14,7 +14,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import replace
 
 from . import checks
 from . import forest_algebra as fa
@@ -168,8 +167,8 @@ def cmd_verify(ns) -> int:
     ns.xs = _floats(ns.xs)
     ns.specs = [standard_spec(m) for m in range(2, ns.m + 1)]
     # NumericContext checks --order, then --tol; the suites' series use 1e-8 at most
-    ctx = nm.NumericContext(quadrature_order=ns.order, tolerance=ns.tol)
-    ns.ctx = replace(ctx, tolerance=min(ns.tol, 1e-8))
+    nm.NumericContext(ns.order, ns.tol)
+    ns.ctx = nm.NumericContext(ns.order, min(ns.tol, 1e-8))
     ok = True
     for name in list(_SUITES) if ns.suite == "all" else [ns.suite]:
         ok = _SUITES[name](ns) and ok

@@ -54,16 +54,16 @@ sort by their exponent pairs and then by shape, which is the order of
 the canonical form.  A ``FaceOutcome`` is the tuple (contributions,
 flags).  ``normalize``, the faces and ``phi`` build them with
 ``tuple.__new__`` and no Python ``__init__``.  A ``CycleTerm`` is a
-slotted frozen dataclass that computes its hash once, at construction,
-so a term used as a dictionary key is hashed in constant time however
-deep it is; it also keeps its parameter tuple, which ``normalize`` sets.
+slotted class with read-only ``coords`` that computes its hash once, at
+construction, so a term used as a dictionary key is hashed in constant
+time however deep it is; it also keeps its parameter tuple, which
+``normalize`` passes to the constructor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from operator import eq, itemgetter, not_
+from operator import attrgetter, eq, itemgetter, not_
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .formal import FormalSum, perm_parity
@@ -207,20 +207,37 @@ class Coordinate(tuple):
         return f"1-{self[0]}" if self[1] else str(self[0])
 
 
-@dataclass(frozen=True, slots=True)
 class CycleTerm:
-    coords: Tuple[Coordinate, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _params: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    """An ordered tuple of coordinates, read-only as ``coords``.
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.coords))
+    ``params``, when given, is the sorted tuple of the parameters of
+    ``coords``, which ``normalize`` knows; otherwise the first read of
+    ``params`` scans for it.  Equality is that of ``coords``, whose hash
+    is computed once here.
+    """
+
+    __slots__ = ("_coords", "_hash", "_params")
+
+    def __init__(self, coords: Tuple[Coordinate, ...], params: Optional[tuple] = None):
+        self._coords = coords
+        self._hash = hash(coords)
+        self._params = params
+
+    coords = property(attrgetter("_coords"))
+
+    def __eq__(self, other):
+        if other.__class__ is not CycleTerm:
+            return NotImplemented
+        return self._coords == other._coords
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        return (CycleTerm, (self.coords,))
+        return (CycleTerm, (self._coords,))
+
+    def __repr__(self) -> str:
+        return f"CycleTerm(coords={self._coords!r})"
 
     @property
     def n(self) -> int:
@@ -233,7 +250,7 @@ class CycleTerm:
     @property
     def params(self) -> tuple:
         if self._params is None:
-            object.__setattr__(self, "_params", self._syms_of_rank(RANK_PARAM))
+            self._params = self._syms_of_rank(RANK_PARAM)
         return self._params
 
     @property
@@ -510,10 +527,8 @@ def normalize(raw_coords: Iterable[Coordinate], readings: Optional[Readings] = N
     # term zero, are equal keys next to each other
     if any(map(eq, out, out[1:])):
         return None
-    term = CycleTerm(out)
     # the parameters are now u1..uk, so the term need not scan for them
-    object.__setattr__(term, "_params", tuple(names[1:k + 1]))
-    return term, sign
+    return CycleTerm(out, tuple(names[1:k + 1])), sign
 
 
 def cycle_sum(entries) -> FormalSum:
@@ -621,7 +636,8 @@ def face_outcome(t: CycleTerm, i: int, eps, *,
     1 - q coordinate whose q goes to 0 sits at the removed point 1 and
     empties the limit, whatever else happens; otherwise every other
     coordinate that u enters is flagged at 0 or infinity; and when u
-    enters no other coordinate, the limit is t with coordinate i dropped.
+    enters no other coordinate, the limit is t with coordinate i dropped,
+    normalized once and counted once per such u.
     """
     coords = t.coords
     if not 1 <= i <= len(coords):
@@ -663,7 +679,7 @@ def face_outcome(t: CycleTerm, i: int, eps, *,
 
     # 1 - q at infinity, or a bare q at 0 or infinity
     want_infinity = one_minus or not at_zero
-    contributions, flags = [], []
+    lone, flags = 0, []
     for sym, e, _ in params:
         up = (e > 0) == want_infinity  # sym^f goes to infinity for f > 0
         hits = where[sym]
@@ -675,12 +691,11 @@ def face_outcome(t: CycleTerm, i: int, eps, *,
                 flags += [f"coordinate {j + 1} -> constant {'infinity' if (f > 0) == up else 0}"
                           for j, f in hits if j != i - 1]
             else:
-                res = normalize(coords[:i - 1] + coords[i:], readings=readings)
-                if res is not None:
-                    contributions.append(res)
-    if not contributions and not flags:
+                lone += 1
+    res = normalize(coords[:i - 1] + coords[i:], readings=readings) if lone else None
+    if res is None and not flags:
         return _EMPTY_OUTCOME
-    return _new(FaceOutcome, (tuple(contributions), tuple(flags)))
+    return _new(FaceOutcome, ((res,) * lone if res else (), tuple(flags)))
 
 
 def _add_face(out: FormalSum, t: CycleTerm, i: int, eps, sign: int,
@@ -742,8 +757,7 @@ def unit_sum() -> FormalSum:
 # ---------------------------------------------------------------------------
 # admissibility
 
-@dataclass
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     admissible: bool
     certificate: tuple = ()  # chain of (i, eps, detail) leading to a violation
     faces_checked: int = 0

@@ -27,8 +27,7 @@ anticommute.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
+from typing import NamedTuple
 
 from .cycle_algebra import (CycleTerm, FormalSum, OutOfClassError, boundary, cycle_sum,
                             dimension)
@@ -132,24 +131,22 @@ def negligible_reason(t: CycleTerm) -> str | None:
 # ---------------------------------------------------------------------------
 # bounding verification
 
-@dataclass
-class BoundingReport:
+class BoundingReport(NamedTuple):
     passed: bool
-    residual: list = field(default_factory=list)   # (term, coeff, reason)
-    offending: list = field(default_factory=list)  # non-negligible residual terms
+    residual: list   # (term, coeff, reason)
+    offending: list  # non-negligible residual terms
 
 
 def verify_bounding(chain: FormalSum, target: FormalSum) -> BoundingReport:
     """Assert D(chain) - target consists of negligible terms only."""
-    report = BoundingReport(passed=True)
+    residual, offending = [], []
     for t, c in listed(D(chain) - target):
         reason = negligible_reason(t)
         if reason is None:
-            report.passed = False
-            report.offending.append((t, c))
+            offending.append((t, c))
         else:
-            report.residual.append((t, c, reason))
-    return report
+            residual.append((t, c, reason))
+    return BoundingReport(not offending, residual, offending)
 
 
 def topological_part(chain: FormalSum) -> FormalSum:
@@ -175,6 +172,8 @@ def load_fixture(name: str):
     """
     if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}")
+    from importlib import resources  # here: only a fixture load pays for pathlib and tempfile
+
     data = json.loads(resources.files("forest_cycles")
                       .joinpath("fixtures").joinpath(f"{name}.json").read_text())
     chain = cycle_sum_from_json(data["chain"])

@@ -20,8 +20,7 @@ all`` and ``eval integral|compare`` load it at their first integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, Sequence
+from typing import Dict, NamedTuple, Sequence
 
 from .cycle_algebra import CycleTerm
 from .formal import FormalSum, perm_parity
@@ -38,23 +37,30 @@ POLYDISC_MARGIN = 1e-6  # the series refuses an argument with |z| > 1 - margin
 SERIES_TERMS = 400  # the series sums the indices k <= SERIES_TERMS
 
 
-@dataclass(frozen=True)
-class NumericContext:
-    quadrature_order: int = 32
-    tolerance: float = 1e-8
+class _NumericContext(NamedTuple):
+    quadrature_order: int
+    tolerance: float
 
-    def __post_init__(self):
-        if self.quadrature_order < 2:
+
+class NumericContext(_NumericContext):
+    """The quadrature order and the tolerance, checked at construction;
+    ``_replace`` and ``_make`` would skip the check, so nothing calls them."""
+
+    __slots__ = ()
+
+    def __new__(cls, quadrature_order: int = 32, tolerance: float = 1e-8):
+        if quadrature_order < 2:
             raise ValueError("quadrature order must be >= 2")
-        if self.quadrature_order > MAX_QUADRATURE_ORDER:
+        if quadrature_order > MAX_QUADRATURE_ORDER:
             raise ValueError(
-                f"quadrature order {self.quadrature_order} exceeds "
+                f"quadrature order {quadrature_order} exceeds "
                 f"{MAX_QUADRATURE_ORDER}, the limit of the "
                 f"{INTEGRATION_MEMORY_BUDGET >> 20} MB memory budget")
-        if not self.tolerance > 0:  # NaN included
+        if not tolerance > 0:  # NaN included
             raise ValueError("tolerance must be positive")
-        if self.tolerance == math.inf:  # every truncation would pass
+        if tolerance == math.inf:  # every truncation would pass
             raise ValueError("tolerance must be finite")
+        return _NumericContext.__new__(cls, quadrature_order, tolerance)
 
 
 DEFAULT_CTX = NumericContext()
@@ -173,7 +179,7 @@ def integral_with_error(x: Sequence[float], ctx: NumericContext = DEFAULT_CTX):
     self-estimate, the difference against the doubled order.  The doubled
     order is checked first, so an order over the limit is refused before
     any integral is computed."""
-    finer = replace(ctx, quadrature_order=2 * ctx.quadrature_order)
+    finer = NumericContext(2 * ctx.quadrature_order, ctx.tolerance)
     value = simplex_integral(x, ctx)
     return value, abs(value - simplex_integral(x, finer))
 

@@ -15,8 +15,7 @@ other leaves:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .formal import FormalSum
 from .forest_algebra import (ForestTerm, Leaf, Node, RDecoTree, add_forest,
@@ -35,18 +34,25 @@ def check_tree_budget(m: int) -> None:
             raise ValueError(f"tau over {m} decorations has more than {MAX_TREES} trees")
 
 
-@dataclass(frozen=True)
-class TauSpec:
+class _TauSpec(NamedTuple):
     decorations: Tuple[DecoSymbol, ...]
 
-    def __post_init__(self):
-        if len(self.decorations) < 2:
+
+class TauSpec(_TauSpec):
+    """The leaf decorations of a tree sum, checked at construction;
+    ``_replace`` and ``_make`` would skip the check, so nothing calls them."""
+
+    __slots__ = ()
+
+    def __new__(cls, decorations: Tuple[DecoSymbol, ...]):
+        if len(decorations) < 2:
             raise ValueError("need at least two decorations")
-        if len(set(self.decorations)) != len(self.decorations):
+        if len(set(decorations)) != len(decorations):
             raise ValueError("decorations must be pairwise distinct")
-        if any(x.is_unit for x in self.decorations):
+        if any(x.is_unit for x in decorations):
             raise ValueError("decorations must differ from the unit")
-        check_tree_budget(self.m)
+        check_tree_budget(len(decorations))
+        return _TauSpec.__new__(cls, decorations)
 
     @property
     def m(self) -> int:
@@ -113,8 +119,7 @@ def d_tau_closed_form(spec: TauSpec) -> FormalSum:
     return out
 
 
-@dataclass
-class CancellationReport:
+class CancellationReport(NamedTuple):
     """Outcome of restricting the differential to internal-edge contractions."""
     m: int
     passed: bool
@@ -128,8 +133,7 @@ def check_internal_cancellation(spec: TauSpec) -> CancellationReport:
                               residual_terms=len(internal))
 
 
-@dataclass
-class DecomposabilityReport:
+class DecomposabilityReport(NamedTuple):
     """Tree counts of the terms of d(tau)."""
     m: int
     all_two_trees: bool

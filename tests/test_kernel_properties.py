@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forest_cycles import (UNIT, Coordinate, CycleTerm, Monomial, constant, deco,
-                           monomial, parameter)
+from forest_cycles import (UNIT, Coordinate, CycleTerm, Monomial, NumericContext,
+                           constant, deco, monomial, parameter, standard_spec)
 from forest_cycles import forest_algebra as fa
 from forest_cycles.checks import _random_tree
 from forest_cycles.cycle_algebra import ONE
@@ -128,6 +128,19 @@ def test_pickle_round_trip_keeps_equality_and_hash(raw):
     assert back.params == term.params and back.top_syms == term.top_syms
     assert term.top_syms == tuple(sorted({s for a, _ in raw for s, e in a.items()
                                           if e and s.kind == KIND_TOP}))
+
+
+def test_terms_and_validated_values_refuse_assignment():
+    # a term's hash is computed once, and a context or a spec is checked
+    # once, at construction
+    term = CycleTerm((Coordinate(monomial({parameter(1): 1})),))
+    for obj, name, value in [(term, "coords", ()),
+                             (NumericContext(), "quadrature_order", 1),
+                             (NumericContext(), "tolerance", 0.0),
+                             (standard_spec(2), "decorations", ())]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+    assert term.coords == (Coordinate(monomial({parameter(1): 1})),)
 
 
 # ---------------------------------------------------------------------------
