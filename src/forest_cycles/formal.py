@@ -84,6 +84,13 @@ class FormalSum:
         return "FormalSum(" + " + ".join(parts) + ")"
 
 
+def listed(S: FormalSum) -> list:
+    """The (term, coefficient) pairs of S by ``str`` of the term (a forest
+    term's pinned ``repr``): the one order in which a sum is written, in
+    text, LaTeX and JSON alike, and in which a report lists its terms."""
+    return sorted(S, key=lambda tc: str(tc[0]))
+
+
 def perm_parity(perm) -> int:
     """Sign of the permutation i -> perm[i]: each swap that puts an entry
     in its place flips it, and a cycle of length l takes l - 1 swaps."""

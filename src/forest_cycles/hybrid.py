@@ -26,12 +26,11 @@ anticommute.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .cycle_algebra import (CycleTerm, FormalSum, OutOfClassError, boundary, cycle_sum,
                             dimension)
-from .serialize import cycle_sum_from_json, listed
+from .formal import listed
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, topological
 
 
@@ -172,7 +171,11 @@ def load_fixture(name: str):
     """
     if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}")
-    from importlib import resources  # here: only a fixture load pays for pathlib and tempfile
+    # here: only a fixture load pays for pathlib, tempfile, json and the readers
+    import json
+    from importlib import resources
+
+    from .serialize import cycle_sum_from_json
 
     data = json.loads(resources.files("forest_cycles")
                       .joinpath("fixtures").joinpath(f"{name}.json").read_text())

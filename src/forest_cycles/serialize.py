@@ -7,6 +7,13 @@ coordinates are exponent maps {"<sym>": exp, ...}; symbol kinds are
 inferred from the u<k>/s<k> naming convention.  Bare-monomial
 coordinates are marked by their 1-based positions in a "plain" array.
 The readers raise ValueError, and nothing else, on malformed input.
+
+``write_json_list`` streams a sum's entries as the text of one
+``json.dumps(entries, indent=2)``.  It writes strings, ints, lists and
+dicts itself, strings through the stdlib's C encoder, since
+``json.dumps`` with an indent runs the pure-Python one; any other value
+is left to ``json.dumps``.  The engine never imports this module: a
+fixture load and the CLI do.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from fractions import Fraction
 
 from .cycle_algebra import Coordinate, CycleTerm, cycle_sum, monomial
 from .forest_algebra import MAX_TREE_DEPTH, ForestTerm, Leaf, Node, RDecoTree, forest_sum
-from .formal import FormalSum
+from .formal import FormalSum, listed
 from .symbols import deco, sym_from_name
 
 # ---------------------------------------------------------------------------
@@ -74,12 +81,6 @@ def forest_term_from_json(obj) -> ForestTerm:
     sign = obj.get("sign", 1)
     _require(type(sign) is int and sign in (1, -1), "forest term sign must be 1 or -1", sign)
     return ForestTerm(tuple(tree_from_json(t) for t in obj["trees"]), sign)
-
-
-def listed(S: FormalSum) -> list:
-    """The (term, coefficient) pairs of S by ``str`` of the term (a forest
-    term's pinned ``repr``): the one order in which a sum is written."""
-    return sorted(S, key=lambda tc: str(tc[0]))
 
 
 def _sum_entries(S: FormalSum, term_to_json):
@@ -149,14 +150,57 @@ def cycle_sum_from_json(entries) -> FormalSum:
     return cycle_sum((t.coords, c) for t, c in _sum_from_json(entries, cycle_term_from_json))
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps's own, in C
+
+
+def _indented(obj, level: str, parts: list) -> None:
+    """Append to ``parts`` the text of ``json.dumps(obj, indent=2)`` for
+    obj nested at ``level``, a newline and its indent.  Strings, ints and
+    non-empty lists and str-keyed dicts are written here, one call a
+    level; any other value is left to ``json.dumps``.  A JSON string holds
+    no raw newline, so indenting that text line by line nests it."""
+    kind = type(obj)
+    if kind is str:
+        parts.append(_encode_str(obj))
+        return
+    if kind is int:
+        parts.append(int.__repr__(obj))
+        return
+    inner = level + "  "
+    if kind is list and obj:
+        sep = "[" + inner
+        for item in obj:  # a loop, not a generator: one frame a level
+            parts.append(sep)
+            _indented(item, inner, parts)
+            sep = "," + inner
+        parts.append(level + "]")
+        return
+    if kind is dict and obj:
+        start, sep = len(parts), "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:  # json.dumps turns such a key into a string its own way
+                del parts[start:]
+                break
+            parts.append(sep + _encode_str(key) + ": ")
+            _indented(value, inner, parts)
+            sep = "," + inner
+        else:
+            parts.append(level + "}")
+            return
+    parts.append(json.dumps(obj, indent=2).replace("\n", level))
+
+
 def write_json_list(entries, out) -> None:
     """Write ``json.dumps(list(entries), indent=2)`` and a newline to the
     text stream ``out``, one entry at a time, so that the whole document
-    is never held.  A JSON string holds no raw newline, so indenting each
-    line of an entry by two spaces nests it as the list would."""
+    is never held.  Each entry is written by ``_indented``, which calls
+    the C string encoder where ``json.dumps`` with an indent would run
+    the stdlib's pure-Python one."""
     sep = "[\n  "
     for entry in entries:
-        out.write(sep + json.dumps(entry, indent=2).replace("\n", "\n  "))
+        parts = [sep]
+        _indented(entry, "\n  ", parts)
+        out.write("".join(parts))
         sep = ",\n  "
     out.write("[]\n" if sep == "[\n  " else "\n]\n")
 

@@ -1,10 +1,10 @@
 """The package loads what it needs when it needs it.
 
-numpy is loaded only for the simplex integral, and ``importlib.resources``
-only to load a fixture; neither ``dataclasses`` nor ``inspect`` is ever
-loaded.  Each case runs in a fresh interpreter, since this process may
-already hold these modules, and reports which of ``WATCHED`` are in
-``sys.modules`` at its end.
+numpy is loaded only for the simplex integral, ``importlib.resources``,
+``json`` and ``serialize`` only to load a fixture or by the CLI; neither
+``dataclasses`` nor ``inspect`` is ever loaded.  Each case runs in a
+fresh interpreter, since this process may already hold these modules,
+and reports which of ``WATCHED`` are in ``sys.modules`` at its end.
 """
 
 import functools
@@ -18,8 +18,10 @@ import pytest
 import forest_cycles
 
 SRC = str(Path(forest_cycles.__file__).resolve().parent.parent)
-WATCHED = ("numpy", "dataclasses", "inspect", "importlib.resources")
+WATCHED = ("numpy", "dataclasses", "inspect", "importlib.resources", "json",
+           "forest_cycles.serialize")
 NEVER = {"dataclasses", "inspect"}
+IO = {"json", "forest_cycles.serialize"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,3 +95,23 @@ def test_bare_package_import_leaves_importlib_resources_unloaded():
     assert "importlib.resources" not in _loaded_after("import forest_cycles", "-S")
     assert "importlib.resources" in _loaded_after(
         "from forest_cycles import load_fixture\nload_fixture('double_log')", "-S")
+
+
+def test_package_import_leaves_json_and_serialize_unloaded():
+    assert not _loaded_after("import forest_cycles") & IO
+
+
+def test_fixture_load_from_a_cold_import_bounds_its_target():
+    loaded = _loaded_after("from forest_cycles import load_fixture, verify_bounding\n"
+                           "chain, target, _ = load_fixture('triple_log')\n"
+                           "assert verify_bounding(chain, target).passed")
+    assert IO <= loaded
+
+
+def test_tracer_installs_after_the_bare_package_import():
+    # bench/tracing.py reads each module it wraps from sys.modules, so the
+    # package import must load every one of them
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    _loaded_after(f"sys.path.insert(0, {bench!r})\nimport forest_cycles\nimport tracing\n"
+                  "tracer = tracing.Tracer()\ntracer.install()\nassert tracer._swapped\n"
+                  "tracer.remove()")

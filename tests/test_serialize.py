@@ -248,6 +248,46 @@ def test_writers_take_a_tree_at_the_depth_bound():
     assert len(t.coords) == 2 * depth + 1 and c in (1, -1)
 
 
+def test_writer_nests_a_tree_as_deep_as_the_indented_dump():
+    # bisect for the deepest tree that json.dumps(entry, indent=2) writes
+    # from this stack depth: write_json_list, which recurses once a
+    # container, must write that tree too, as the same text
+    def entry(depth):
+        return dict(_deep_tree({"leaf": "y"}, depth), coeff="1")
+
+    written, too_deep = 1, sz.MAX_TREE_DEPTH + 1
+    while too_deep - written > 1:
+        mid = (written + too_deep) // 2
+        try:
+            json.dumps(entry(mid), indent=2)
+            written = mid
+        except RecursionError:
+            too_deep = mid
+    assert written > 400
+    expected = "[\n  " + json.dumps(entry(written), indent=2).replace("\n", "\n  ") + "\n]\n"
+    assert _written(iter([entry(written)])) == expected
+
+
+# quotes, backslashes, control characters, a lone surrogate and non-ASCII
+# text, each of which json.dumps escapes
+_texts = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u2028\ud800\U0001f600')
+                 | st.characters(), max_size=6)
+_ints = st.integers() | st.sampled_from([-2 ** 63, 10 ** 40, -10 ** 40])
+_written_values = st.recursive(
+    st.none() | st.booleans() | _ints | st.floats() | _texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_texts, inner, max_size=4)
+    | st.dictionaries(st.none() | st.booleans() | _ints | st.floats() | _texts, inner, max_size=3),
+    max_leaves=20)
+
+
+@settings(max_examples=200)
+@given(st.lists(_written_values, max_size=4))
+def test_writer_matches_one_indented_dump_on_any_json_value(entries):
+    # empty containers, floats, bools, None and a dict with a key that is
+    # not a string are left to json.dumps
+    assert _written(iter(entries)) == json.dumps(entries, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("name", ["u07", "s0", "u\u0663", "s\u00b2"])
 def test_cycle_reader_refuses_variable_names_the_writer_never_makes(name):
     with pytest.raises(ValueError, match=re.escape(repr(name))):
