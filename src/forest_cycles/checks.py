@@ -19,7 +19,7 @@ from . import numerics as nm
 from . import serialize as sz
 from .cycle_algebra import AdmissibilityWalk, boundary, concat
 from .forest_cycling import phi
-from .hybrid import load_fixture, topological_part, verify_bounding
+from .hybrid import integral_sign, load_fixture, topological_part, verify_bounding
 from .symbols import UNIT, deco
 from .tau import d_tau_closed_form, d_tau_parts
 
@@ -208,9 +208,9 @@ def integral_vs_series(xs, ctx: nm.NumericContext = nm.DEFAULT_CTX, value=None):
 
 def fixture_integral(name: str, ctx: nm.NumericContext = nm.DEFAULT_CTX):
     """(value, expected, gap): the topological part of a bounding fixture
-    integrates to its sign times the simplex integral at its point."""
+    integrates to ε(m) times the simplex integral at its point."""
     chain, _target, meta = load_fixture(name)
     assignment = {f"x{i + 1}": v for i, v in enumerate(meta["xs"])}
     value = nm.eval_topological_sum(topological_part(chain), assignment, ctx)
-    expected = meta["integral_sign"] * nm.simplex_integral(meta["xs"], ctx)
+    expected = integral_sign(meta["tau_m"]) * nm.simplex_integral(meta["xs"], ctx)
     return value, expected, abs(value - expected)

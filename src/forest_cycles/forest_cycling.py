@@ -47,7 +47,7 @@ class _DecoSymbols(dict):
         return s
 
 
-def raw_image(trees, symbols: Optional[_DecoSymbols] = None) -> list:
+def raw_image(trees, symbols: Optional[_DecoSymbols] = None, roots=None) -> list:
     """The coordinates of the trees' image, unnormalized: the trees in
     the given order, each in canonical edge order, so coordinate k is
     edge k.  Each tree takes the next block of parameters, which maps a
@@ -56,15 +56,16 @@ def raw_image(trees, symbols: Optional[_DecoSymbols] = None) -> list:
     ``flatten`` lists the far vertices in edge order.  An internal one
     takes the next parameter, which numbers a block in preorder, and is
     the near vertex of the edges below it until its closing entry.
-    ``symbols`` is the caller's table of decoration symbols.
+    ``symbols`` is the caller's table of decoration symbols; ``roots``,
+    when given, holds each tree's root symbol in place of its decoration's.
     """
     if symbols is None:
         symbols = _DecoSymbols()
     coords, next_param = [], 1
-    for tree in trees:
+    for i, tree in enumerate(trees):
         entries = list(flatten(tree[2]))
         names = _parameters(next_param + len(entries) // 2)  # a node has two entries
-        nears = [symbols[tree[1]]]
+        nears = [symbols[tree[1]] if roots is None else roots[i]]
         for x in entries:
             if type(x) is Leaf:
                 coords.append(_new(Coordinate, (_edge_monomial(nears[-1], symbols[x[1]]), True)))

@@ -7,7 +7,7 @@ delta, the alternating sum over the restrictions s1 = 0, s_{k+1} = s_k
 and s_r = 1.  Past s1 = 0, which empties a term or leaves the class,
 each restriction is one ``Coordinate.rename`` of every coordinate.
 
-Sign conventions, fixed once and verified by both shipped fixtures:
+Sign conventions, fixed once and verified on the bounding chains:
 
 * the k-th restriction of the fence (k = 0..r, k = 0 meaning s1 = 0 and
   k = r meaning s_r = 1) carries (-1)^k;
@@ -22,16 +22,25 @@ The twist makes D square to zero: delta commutes with the algebraic
 boundary restriction by restriction, and every surviving boundary face
 eliminates exactly one algebraic parameter, so the twisted cross terms
 anticommute.
+
+``bounding_chain(m)`` builds, from the paper's formula, the hybrid chain
+whose D is ``bounding_target(m)`` = (-1)^m phi(tau(x1..xm)) plus
+negligible terms; ``verify_bounding`` checks that.  The two shipped
+fixtures load the chains for m = 2 and 3, and their JSON files are the
+golden record those chains are tested against.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .cycle_algebra import (CycleTerm, FormalSum, OutOfClassError, boundary, cycle_sum,
                             dimension)
+from .forest_cycling import phi, raw_image
 from .formal import listed
-from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, topological
+from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, UNIT, topological
+from .tau import block_trees, standard_spec, tau
 
 
 def _restriction(coords, k: int, r: int) -> list:
@@ -158,6 +167,43 @@ def topological_part(chain: FormalSum) -> FormalSum:
 
 
 # ---------------------------------------------------------------------------
+# bounding chains
+
+def bounding_chain(m: int) -> FormalSum:
+    """The hybrid chain that bounds (-1)^m phi(tau(x1..xm)), Catalan(m) terms.
+
+    Each split of x1..xm into r consecutive blocks gives the raw image of
+    every choice of one tree of ``block_trees`` per block, the root of
+    block k mapped to the topological variable s_k; a one-element block
+    is the single-edge tree.  The sign is (-1)^(r(r-1)/2 + (r-1)(m-1)).
+    """
+    xs = standard_spec(m).decorations
+    tops = [topological(k) for k in range(1, m + 1)]
+
+    def entries():
+        for r in range(1, m + 1):
+            sign = (-1) ** (r * (r - 1) // 2 + (r - 1) * (m - 1))
+            for cuts in combinations(range(1, m), r - 1):
+                ends = (0,) + cuts + (m,)
+                blocks = [block_trees(UNIT, xs[a:b]) for a, b in zip(ends, ends[1:])]
+                for trees in product(*blocks):
+                    yield raw_image(trees, roots=tops), sign
+
+    return cycle_sum(entries())
+
+
+def bounding_target(m: int) -> FormalSum:
+    """(-1)^m phi(tau(x1..xm)), the image that ``bounding_chain(m)`` bounds."""
+    return phi(tau(standard_spec(m))).scale((-1) ** m)
+
+
+def integral_sign(m: int) -> int:
+    """ε(m) = (-1)^((m-1)(m-2)/2): the topological part of
+    ``bounding_chain(m)`` integrates to ε(m) times the simplex integral."""
+    return (-1) ** ((m - 1) * (m - 2) // 2)
+
+
+# ---------------------------------------------------------------------------
 # fixtures
 
 FIXTURES = ("double_log", "triple_log")  # the shipped bounding fixtures
@@ -166,20 +212,20 @@ FIXTURES = ("double_log", "triple_log")  # the shipped bounding fixtures
 def load_fixture(name: str):
     """Load a shipped bounding fixture.
 
-    Returns (chain, target, meta); meta holds the numeric evaluation
-    point and the tree-sum cross-check data.
+    Returns (chain, target, meta): ``bounding_chain`` and
+    ``bounding_target`` at the file's ``tau_m``, and the file's other
+    fields, among them the numeric evaluation point ``xs``.  The file's
+    ``chain`` and ``target`` are the golden record that both are tested
+    against; nothing here parses them.
     """
     if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}")
-    # here: only a fixture load pays for pathlib, tempfile, json and the readers
+    # here: only a fixture load pays for pathlib, tempfile and json
     import json
     from importlib import resources
 
-    from .serialize import cycle_sum_from_json
-
     data = json.loads(resources.files("forest_cycles")
                       .joinpath("fixtures").joinpath(f"{name}.json").read_text())
-    chain = cycle_sum_from_json(data["chain"])
-    target = cycle_sum_from_json(data["target"])
+    m = data["tau_m"]
     meta = {k: data[k] for k in data if k not in ("chain", "target")}
-    return chain, target, meta
+    return bounding_chain(m), bounding_target(m), meta

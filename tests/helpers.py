@@ -72,12 +72,17 @@ def csum(*entries):
     return cycle_sum(entries)
 
 
+def fixture_data(name):
+    """A bounding fixture's JSON file, parsed: the golden record."""
+    return json.loads(resources.files("forest_cycles").joinpath(
+        "fixtures").joinpath(f"{name}.json").read_text())
+
+
 def fixture_terms():
     """The terms of the bounding fixtures, chain then target, with their
     coordinates as stored, before any canonicalization."""
     for name in FIXTURES:
-        data = json.loads(resources.files("forest_cycles").joinpath(
-            "fixtures").joinpath(f"{name}.json").read_text())
+        data = fixture_data(name)
         for part in ("chain", "target"):
             for entry in data[part]:
                 yield cycle_term_from_json(entry)

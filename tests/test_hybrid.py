@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,11 @@ from forest_cycles import (D, Coordinate, CycleTerm, OutOfClassError, boundary, 
                            parameter, phi, standard_spec, tau, topological,
                            topological_part, verify_bounding)
 from forest_cycles.formal import FormalSum
-from forest_cycles.hybrid import (FIXTURES, delta_term, has_constant_coordinate,
+from forest_cycles.hybrid import (FIXTURES, bounding_chain, bounding_target, delta_term,
+                                  has_constant_coordinate, integral_sign,
                                   is_topologically_decomposable, negligible_reason)
-from helpers import csum, ct, hybrid_image, om
+from forest_cycles.serialize import cycle_sum_from_json
+from helpers import csum, ct, fixture_data, hybrid_image, om
 
 
 def _eta1():
@@ -128,6 +131,29 @@ def test_fixture_targets_are_tree_images():
     chain3, target3, meta3 = load_fixture("triple_log")
     assert target3 == phi(tau(standard_spec(3))).scale(-1)
     assert meta3["xs"] == [12, 6, 2]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixtures_are_the_generated_chains(name):
+    # the files' chains and targets are the golden record of the formula
+    data = fixture_data(name)
+    chain, target, meta = load_fixture(name)
+    m = meta["tau_m"]
+    assert chain == cycle_sum_from_json(data["chain"])
+    assert target == cycle_sum_from_json(data["target"])
+    assert Fraction(data["target_scale"]) == (-1) ** m
+    assert data["integral_sign"] == integral_sign(m) == (-1) ** ((m - 1) * (m - 2) // 2)
+
+
+@pytest.mark.parametrize("m, terms, residuals",
+                         [(2, 2, 3), (3, 5, 13), (4, 14, 51), (5, 42, 196), (6, 132, 750)])
+def test_generated_chain_bounds_its_target(m, terms, residuals):
+    chain = bounding_chain(m)
+    assert len(chain) == terms  # Catalan(m)
+    rep = verify_bounding(chain, bounding_target(m))
+    assert rep.passed, rep.offending
+    assert len(rep.residual) == residuals
+    assert D(D(chain)).is_zero()
 
 
 def test_topological_parts():

@@ -9,12 +9,14 @@ from importlib import resources
 import pytest
 
 from forest_cycles import (D, OutOfClassError, boundary, checks, concat, is_admissible,
-                           load_fixture, phi, standard_spec, tau, tree_sum)
+                           phi, standard_spec, tau, tree_sum)
 from forest_cycles import cycle_algebra as ca
 from forest_cycles import forest_cycling
 from forest_cycles.cycle_algebra import INF, Readings, face_outcome, normalize
+from forest_cycles.serialize import cycle_sum_from_json
 from forest_cycles.symbols import RANK_PARAM
-from helpers import bare, fixture_terms, generic_forest, lf, nd, om, random_coords, tr
+from helpers import (bare, fixture_data, fixture_terms, generic_forest, lf, nd, om, random_coords,
+                     tr)
 
 
 def _edge_cases():
@@ -124,7 +126,7 @@ def test_no_readings_table_outlives_its_call():
     assert is_admissible(Z.terms()[0]).admissible
     assert checks.admissibility(phi(tau(standard_spec(4))).terms()).passed
     assert not concat(Z, phi(tau(standard_spec(3)))).is_zero()
-    chain, _, _ = load_fixture("triple_log")  # cycle_sum_from_json
+    chain = cycle_sum_from_json(fixture_data("triple_log")["chain"])
     assert not D(chain).is_zero()  # delta_term on every term
     assert _tables() == []
     assert _module_dicts() == before
