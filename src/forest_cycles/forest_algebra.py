@@ -336,7 +336,7 @@ def contract_components(tree: RDecoTree, path: tuple, above: tuple, k: int):
     return (root,) + branches, (-1) ** (after * below)
 
 
-def d_contributions(F: ForestTerm):
+def d_contributions(F: ForestTerm, internal_only: bool = False):
     """Per-edge contraction contributions of a forest term.
 
     The edges are taken in the orientation order of ``F``: its trees as
@@ -346,11 +346,16 @@ def d_contributions(F: ForestTerm):
     with result either a canonical ForestTerm of sign +1 paired with the
     int coeff +1 or -1, or None paired with 0 for contributions that
     vanish (degenerate contraction or equal odd trees in the result).
+    With ``internal_only`` only the edges whose far vertex is a node are
+    contracted and yielded, each with the sign it has in the full walk.
     """
     trees = F.trees
-    edge_sign = F.sign  # F.sign * (-1)^k at the k-th edge
+    edge_sign = -F.sign  # flipped before each edge: F.sign * (-1)^k at the k-th
     for i, T in enumerate(trees):
         for k, (p, above) in enumerate(edge_walk(T)):
+            edge_sign = -edge_sign
+            if internal_only and (not p or type(above[-1][p[-1] + 1]) is not Node):
+                continue
             cut = contract_components(T, p, above, k)
             term = None
             if cut is not None:
@@ -361,7 +366,6 @@ def d_contributions(F: ForestTerm):
             else:
                 result, ksign = term
                 yield i, p, ForestTerm(result), edge_sign * sign * ksign
-            edge_sign = -edge_sign
 
 
 def contract(T: RDecoTree, e: tuple) -> Optional[ForestTerm]:

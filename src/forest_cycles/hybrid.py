@@ -40,7 +40,7 @@ from .cycle_algebra import (CycleTerm, FormalSum, OutOfClassError, boundary, cyc
 from .forest_cycling import phi, raw_image
 from .formal import listed
 from .symbols import RANK_CONST, RANK_PARAM, RANK_TOP, UNIT, topological
-from .tau import block_trees, standard_spec, tau
+from .tau import MAX_TREES, block_trees, catalan_over_budget, standard_spec, tau
 
 
 def _restriction(coords, k: int, r: int) -> list:
@@ -176,7 +176,12 @@ def bounding_chain(m: int) -> FormalSum:
     every choice of one tree of ``block_trees`` per block, the root of
     block k mapped to the topological variable s_k; a one-element block
     is the single-edge tree.  The sign is (-1)^(r(r-1)/2 + (r-1)(m-1)).
+    An m whose chain has more than ``tau.MAX_TREES`` terms is refused
+    before any tree is built.
     """
+    if catalan_over_budget(m):
+        raise ValueError(f"the bounding chain over {m} decorations has more than "
+                         f"{MAX_TREES} terms")
     xs = standard_spec(m).decorations
     tops = [topological(k) for k in range(1, m + 1)]
 

@@ -10,6 +10,12 @@ other leaves:
 
     d tau(1; x1..xm) = sum_B tau(1; C) tau(x_{j+1}; B)
                              - [i > 1] tau(1; C) tau(x_{i-1}; B).
+
+The shapes of each leaf interval are built once, so the trees of a sum
+share the subtree object of every block, and an equality test on d(tau)
+skips a shared subtree by identity.  ``d_tau_parts`` tells the internal
+edges apart by the tree count of their results; the cancellation check
+contracts only those edges, which ``d_contributions`` picks by type.
 """
 
 from __future__ import annotations
@@ -25,13 +31,20 @@ from .symbols import UNIT, DecoSymbol, standard_decorations
 MAX_TREES = 250_000  # per sum: m = 13 (208,012 trees) is the largest m within it
 
 
+def catalan_over_budget(n: int) -> bool:
+    """Whether Catalan(n) exceeds MAX_TREES; the count stops once it does."""
+    count = 1
+    for k in range(1, n + 1):  # count = Catalan(k)
+        count = count * (4 * k - 2) // (k + 1)
+        if count > MAX_TREES:
+            return True
+    return False
+
+
 def check_tree_budget(m: int) -> None:
     """Refuse m decorations whose Catalan(m - 1) trees exceed MAX_TREES."""
-    trees = 1
-    for n in range(1, m):  # trees = Catalan(n)
-        trees = trees * (4 * n - 2) // (n + 1)
-        if trees > MAX_TREES:
-            raise ValueError(f"tau over {m} decorations has more than {MAX_TREES} trees")
+    if catalan_over_budget(m - 1):
+        raise ValueError(f"tau over {m} decorations has more than {MAX_TREES} trees")
 
 
 class _TauSpec(NamedTuple):
@@ -66,14 +79,18 @@ def standard_spec(m: int) -> TauSpec:
 
 
 def _binary_shapes(leaves):
-    if len(leaves) == 1:
-        return [Leaf(leaves[0])]
-    shapes = []
-    for cut in range(1, len(leaves)):
-        for left in _binary_shapes(leaves[:cut]):
-            for right in _binary_shapes(leaves[cut:]):
-                shapes.append(Node((left, right)))
-    return shapes
+    """The binary shapes over ``leaves``: by the cut after the left block,
+    then by the left shape, then by the right shape.  Each leaf interval's
+    shapes are built once, shortest first, so the trees share every
+    subtree object of a block."""
+    n = len(leaves)
+    shapes = {(i, i + 1): [Leaf(x)] for i, x in enumerate(leaves)}  # (i, j): leaves[i:j]
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            shapes[i, j] = [Node((left, right)) for cut in range(i + 1, j)
+                            for left in shapes[i, cut] for right in shapes[cut, j]]
+    return shapes[0, n]
 
 
 def block_trees(root: DecoSymbol, leaves) -> List[RDecoTree]:
@@ -127,8 +144,12 @@ class CancellationReport(NamedTuple):
 
 
 def check_internal_cancellation(spec: TauSpec) -> CancellationReport:
-    """The internal-edge part of d(tau) must vanish identically."""
-    internal, _ = d_tau_parts(spec)
+    """The internal-edge part of d(tau) must vanish identically; only the
+    internal edges are contracted."""
+    internal = FormalSum()
+    for T in tau_trees(spec):
+        for _, _, result, coeff in d_contributions(ForestTerm((T,)), internal_only=True):
+            internal.add_term(result, coeff)
     return CancellationReport(m=spec.m, passed=internal.is_zero(),
                               residual_terms=len(internal))
 

@@ -21,15 +21,30 @@ def test_grade_counts_edges_and_leaves():
     assert grade(forest(two_leaf_tree(), tr("1", lf("x3")))) == (4, 3)
 
 
+def _walk_forests():
+    """``left_comb3`` and 200 seeded random forests."""
+    rng = random.Random(23)
+    return [forest(left_comb3())] + [random_forest(rng, 14) for _ in range(200)]
+
+
 def test_only_internal_edges_contract_one_tree_to_one_tree():
     # the rule by which ``tau.d_tau_parts`` tells the internal edges apart
-    rng = random.Random(23)
-    trees = [left_comb3()] + [T for _ in range(200) for T in random_forest(rng, 14).trees]
+    trees = [T for F in _walk_forests() for T in F.trees]
     for T in trees:
         for _, p, result, _ in d_contributions(forest(T)):
             if result is not None:
                 internal = p != () and isinstance(node_at(T, p), Node)
                 assert (len(result.trees) == 1) == internal, (T, p)
+
+
+def test_internal_only_walk_is_the_internal_part_of_the_full_walk():
+    # on each tree alone, and on whole forests, whose later trees' edge
+    # signs follow the earlier trees' edges
+    forests = _walk_forests()
+    for F in forests + [forest(T) for G in forests for T in G.trees]:
+        full = [(i, p, result, coeff) for i, p, result, coeff in d_contributions(F)
+                if p != () and isinstance(node_at(F.trees[i], p), Node)]
+        assert list(d_contributions(F, internal_only=True)) == full, F
 
 
 def test_node_at_paths():

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from forest_cycles.hybrid import (FIXTURES, bounding_chain, bounding_target, del
                                   is_topologically_decomposable, negligible_reason)
 from forest_cycles.serialize import cycle_sum_from_json
 from helpers import csum, ct, fixture_data, hybrid_image, om
+
+tau_module = importlib.import_module("forest_cycles.tau")  # not the tau function
 
 
 def _eta1():
@@ -154,6 +157,18 @@ def test_generated_chain_bounds_its_target(m, terms, residuals):
     assert rep.passed, rep.offending
     assert len(rep.residual) == residuals
     assert D(D(chain)).is_zero()
+
+
+def test_chain_over_budget_is_refused_before_any_tree(monkeypatch):
+    def no_trees(leaves):
+        raise AssertionError("a tree was built")
+    monkeypatch.setattr(tau_module, "_binary_shapes", no_trees)
+    for m in (13, 10 ** 9):  # Catalan(13) = 742,900 terms
+        with pytest.raises(ValueError, match=f"the bounding chain over {m} decorations "
+                                             f"has more than {tau_module.MAX_TREES} terms"):
+            bounding_chain(m)
+    with pytest.raises(AssertionError, match="a tree was built"):
+        bounding_chain(12)  # Catalan(12) = 208,012 terms are within it
 
 
 def test_topological_parts():

@@ -55,6 +55,28 @@ def test_tree_budget_admits_m_13_and_refuses_m_14():
             standard_spec(m)
 
 
+def _reference_shapes(leaves):
+    """The binary shapes over ``leaves`` by the cut, then the left shape,
+    then the right shape, each block rebuilt wherever it is used."""
+    if len(leaves) == 1:
+        return [Leaf(leaves[0])]
+    return [Node((left, right)) for cut in range(1, len(leaves))
+            for left in _reference_shapes(leaves[:cut])
+            for right in _reference_shapes(leaves[cut:])]
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_trees_are_the_reference_enumeration_and_share_their_blocks(m):
+    spec = standard_spec(m)
+    trees = tau_trees(spec)
+    assert trees == [RDecoTree(UNIT, top) for top in _reference_shapes(spec.decorations)]
+    for side in (0, 1):  # trees with equal left (right) blocks hold one object
+        blocks = {}
+        for T in trees:
+            block = T.top.children[side]
+            assert blocks.setdefault(block, block) is block
+
+
 def test_block_trees_take_any_root_and_one_leaf():
     a, x1, x2 = deco("a"), deco("x1"), deco("x2")
     assert block_trees(a, [x1]) == [RDecoTree(a, Leaf(x1))]
@@ -67,6 +89,26 @@ def test_internal_contributions_cancel():
         rep = check_internal_cancellation(standard_spec(m))
         assert rep.passed
         assert not rep.residual_terms
+
+
+def test_cancellation_report_catches_a_broken_internal_contraction(monkeypatch):
+    # the internal contractions cancel in pairs, ((A B) C) against (A (B C));
+    # flipping the sign where the contracted node is a first child breaks
+    # every pair, while flipping every internal sign would break none
+    real = fa.contract_components
+
+    def mutated(tree, path, *walk):
+        cut = real(tree, path, *walk)
+        if path and path[-1] == 0 and isinstance(fa.node_at(tree, path), Node):
+            comps, sign = cut
+            return comps, -sign
+        return cut
+
+    monkeypatch.setattr(fa, "contract_components", mutated)
+    for m in range(3, 7):
+        rep = check_internal_cancellation(standard_spec(m))
+        assert not rep.passed
+        assert rep.residual_terms
 
 
 def test_differential_splits_into_two_trees():
