@@ -90,7 +90,7 @@ def _binary_shapes(leaves):
             j = i + width
             shapes[i, j] = [Node((left, right)) for cut in range(i + 1, j)
                             for left in shapes[i, cut] for right in shapes[cut, j]]
-    return shapes[0, n]
+    return shapes.get((0, n), [])  # no leaves, no shape
 
 
 def block_trees(root: DecoSymbol, leaves) -> List[RDecoTree]:

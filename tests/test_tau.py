@@ -79,6 +79,7 @@ def test_trees_are_the_reference_enumeration_and_share_their_blocks(m):
 
 def test_block_trees_take_any_root_and_one_leaf():
     a, x1, x2 = deco("a"), deco("x1"), deco("x2")
+    assert block_trees(a, []) == []
     assert block_trees(a, [x1]) == [RDecoTree(a, Leaf(x1))]
     assert block_trees(a, [x1, x2]) == [RDecoTree(a, Node((Leaf(x1), Leaf(x2))))]
     assert block_trees(UNIT, standard_spec(4).decorations) == tau_trees(standard_spec(4))
